@@ -18,7 +18,6 @@ from .errors import (
 from .info import (
     JointPmf,
     Pmf,
-    StochasticMatrix,
     binary_entropy,
     conditional_mutual_information,
     entropy,

@@ -21,7 +21,6 @@ __all__ = [
     "PROB_TOL",
     "Pmf",
     "JointPmf",
-    "StochasticMatrix",
     "binary_entropy",
     "inv_binary_entropy",
     "star",
@@ -134,12 +133,6 @@ class Pmf:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
-    @classmethod
-    def uniform(cls, n: int) -> "Pmf":
-        if n < 1:
-            raise ValidationError("Pmf.uniform: n must be >= 1")
-        return cls(np.full(n, 1.0 / n))
-
     def __len__(self) -> int:
         return int(self.probs.size)
 
@@ -229,52 +222,6 @@ class JointPmf:
         drop = tuple(i for i in range(self.table.ndim) if i not in keep)
         arr = self.table.sum(axis=drop) if drop else self.table
         return _entropy_bits(arr)
-
-
-@dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """Conditional distribution T[j, i] = Pr{out = j | in = i}.
-
-    Every column is a pmf over the output alphabet; columns are renormalised
-    exactly on construction.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_prob_array(self.entries, name="StochasticMatrix")
-        if arr.ndim != 2:
-            raise ValidationError(
-                f"StochasticMatrix: expected a matrix, got shape {arr.shape}"
-            )
-        sums = arr.sum(axis=0)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)
-        if bad.size:
-            raise ValidationError(
-                f"StochasticMatrix: column {bad[0]} sums to {sums[bad[0]]}"
-            )
-        arr = arr / sums[None, :]
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def rows(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self.entries.shape[1])
-
-    @classmethod
-    def bsc(cls, delta: float) -> "StochasticMatrix":
-        """Binary symmetric channel with crossover probability ``delta``."""
-        delta = float(delta)
-        if not 0.0 <= delta <= 1.0:
-            raise DomainError(f"bsc: delta must be in [0, 1], got {delta}")
-        return cls(np.array([[1.0 - delta, delta], [delta, 1.0 - delta]]))
-
-    def column(self, i: int) -> Pmf:
-        return Pmf(self.entries[:, i])
 
 
 def entropy(p: "Pmf | Iterable[float]") -> float:

@@ -6,14 +6,17 @@ The capacity of a discrete model is the supremum of
     subject to  R1 >= I(U; Y_R) + I(Y_R; Yhat_R | U, Z)
 
 over joint pmfs factorising as p(u, x1) p(z) p(y_R | x1, z) p(yhat | y_R, u).
-The objective is not jointly concave, so ``solve_capacity`` runs seeded
-multi-restart alternating coordinate ascent (golden-section line searches
-along random simplex directions, infeasible candidates rejected) and returns
-the best feasible value found: a certified lower bound on the capacity,
-deterministic for a fixed seed. ``brute_force_capacity`` is an independent
-coarse-grid oracle for tiny models, and ``cutset_discrete`` the matching
-upper bound. Restarts are independent; model and config values are never
-mutated during a solve.
+The objective is not jointly concave. ``solve_capacity`` fixes a starting
+decode layer p(u, x1) per restart (compress-only, decode-only, one per binary
+partition of X1, then seeded random draws) and, for a grid of multipliers s,
+maximises the Lagrangian R - s*C by alternating closed-form updates of the
+test channel and of p(u | x1): Blahut-Arimoto in its information-bottleneck
+form. The upper concave envelope of the resulting (C, R) points at R1 is
+realised by time sharing folded into U and re-evaluated exactly, so the
+result is a certified lower bound on the capacity, deterministic for a fixed
+seed. ``brute_force_capacity`` is an independent coarse-grid oracle for tiny
+models, and ``cutset_discrete`` the matching upper bound. Restarts are
+independent; model and config values are never mutated during a solve.
 """
 
 from __future__ import annotations
@@ -100,21 +103,21 @@ class AuxiliaryScheme:
 class SolveConfig:
     """Knobs for ``solve_capacity``.
 
-    ``grid_steps`` coarse samples seed each golden-section line search;
-    ``patience`` stops a restart after that many searches without improvement.
+    ``restarts`` is the number of starting decode layers p(u, x1) tried, in
+    the order constant U, U = X1, each binary partition of X1, then seeded
+    Dirichlet draws. ``max_iters`` caps the p(u | x1) updates per restart;
+    0 keeps each start's p(u, x1) and only fits the test channels.
     ``card_u``/``card_yhat`` default to the sufficient cardinality bounds
-    |X1| + 3 and |U| |Y_R| + 1 and may only be reduced.
+    |X1| + 3 and |U| |Y_R| + 1 and may only be reduced. ``feas_tol`` is the
+    slack allowed on the pipe constraint.
     """
 
-    restarts: int = 32
-    grid_steps: int = 6
-    max_iters: int = 2000
+    restarts: int = 16
+    max_iters: int = 50
     seed: int = 0
     card_u: int | None = None
     card_yhat: int | None = None
-    patience: int = 120
     feas_tol: float = 1e-9
-    product_cap: int = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,220 +224,215 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate-ascent solver
+# Lagrangian Blahut-Arimoto solver
 # ---------------------------------------------------------------------------
 
+# Largest |X1| |Y_R| |Z| the solver accepts.
+_PRODUCT_CAP = 512
 
-def _safe_joint(card_u: int, n_x1: int, x1_marginal: np.ndarray) -> np.ndarray:
-    j = np.zeros((card_u, n_x1))
-    j[0, :] = x1_marginal
-    return j
+# Multipliers s of the Lagrangian R - s*C, one batch row each: the slopes at
+# which the (C, R) trade-off is traced, evenly spaced in (0, 1). The envelope
+# between two neighbours is a chord; on the fair-state binary anchors this even
+# grid lands within 1.3e-3 bits of the capacity, where a logistic grid of the
+# same size, denser near 0 and 1, left 2.9e-3.
+_MULTIPLIERS = np.arange(1, 28) / 28.0
+
+# A q loop stops once a round raises no multiplier's Lagrangian by more than
+# _TOL bits, a restart once a whole round (p update and q loop) does not. The
+# cap bounds the q loop where the iteration crawls near a phase transition of
+# the test channel.
+_TOL = 1e-6
+_Q_ROUNDS = 500
+
+# Weight of the uniform part of the initial test channel: the rest maps y_r
+# losslessly, and every output label starts with some mass so that none is
+# frozen at zero.
+_Q_BLUR = 1e-2
 
 
-def _constant_test(n_yr: int, card_u: int, card_yhat: int) -> np.ndarray:
-    t = np.zeros((n_yr, card_u, card_yhat))
-    t[:, :, 0] = 1.0
-    return t
+def _log2(t: np.ndarray) -> np.ndarray:
+    return np.log2(np.maximum(t, 1e-300))
 
 
-def _initial_scheme(
-    ridx: int, rng: np.random.Generator, n_x1: int, n_yr: int, card_u: int, card_yhat: int
-) -> tuple[np.ndarray, np.ndarray]:
-    uniform_x = np.full(n_x1, 1.0 / n_x1)
-    if ridx == 0:
-        # compress-only start: constant U, test channel as injective as it fits
-        joint = _safe_joint(card_u, n_x1, uniform_x)
-        test = np.zeros((n_yr, card_u, card_yhat))
-        for r in range(n_yr):
-            test[r, :, min(r, card_yhat - 1)] = 1.0
-        return joint, test
-    if ridx == 1:
-        # decode-only start: U = X1, constant compression
+def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    return -np.sum(t * _log2(t), axis=axes)
+
+
+def _deterministic_test(n_yr: int, card_u: int, card_yhat: int, lossless: bool) -> np.ndarray:
+    """q[u, y_r, yhat] mapping y_r to itself (clipped to the alphabet) or to 0."""
+    q = np.zeros((card_u, n_yr, card_yhat))
+    for r in range(n_yr):
+        q[:, r, min(r, card_yhat - 1) if lossless else 0] = 1.0
+    return q
+
+
+def _starts(n_x1: int, card_u: int, seed: int) -> Iterator[np.ndarray]:
+    """Starting p(u, x1) of the restarts, in order.
+
+    Constant U (compress-and-forward), U = X1 (decode-and-forward), one start
+    per binary partition of X1 with the balanced ones first (decode one
+    coordinate of a product input), then seeded Dirichlet draws.
+    """
+    xs = np.arange(n_x1)
+    p_x1 = np.full(n_x1, 1.0 / n_x1)
+    labels = [np.zeros(n_x1, dtype=int), xs % card_u]
+    if n_x1 > 2 and card_u > 1:
+        # a partition {A, complement}, listed once with x = n_x1 - 1 outside A
+        sizes = sorted(range(1, n_x1), key=lambda k: (abs(n_x1 - 2 * k), k))
+        labels = itertools.chain(labels, (
+            np.isin(xs, subset).astype(int)
+            for k in sizes
+            for subset in itertools.combinations(range(n_x1 - 1), k)
+        ))
+    for ridx, lab in enumerate(labels):
         joint = np.zeros((card_u, n_x1))
-        for x in range(n_x1):
-            joint[x % card_u, x] = 1.0 / n_x1
-        return joint, _constant_test(n_yr, card_u, card_yhat)
-    if ridx == 2:
-        joint = np.full((card_u, n_x1), 1.0 / (card_u * n_x1))
-        test = np.full((n_yr, card_u, card_yhat), 1.0 / card_yhat)
-        return joint, test
-    joint = rng.dirichlet(np.ones(card_u * n_x1)).reshape(card_u, n_x1)
-    test = rng.dirichlet(np.ones(card_yhat), size=(n_yr, card_u))
+        joint[lab, xs] = p_x1
+        yield joint
+    for ridx in itertools.count(ridx + 1):
+        rng = np.random.default_rng((seed, ridx))
+        yield rng.dirichlet(np.ones(card_u * n_x1)).reshape(card_u, n_x1)
+
+
+class _Ascent:
+    """Alternating maximisation of R - s*C, every multiplier s at once.
+
+    With p(u, x1) fixed, the test channel q(yhat | y_r, u) that maximises the
+    Lagrangian given the posteriors p(x1 | yhat, u, z) and p(yhat | u, z) is
+    closed form, and so is p(u | x1) (p(x1) held fixed) given q and the
+    posteriors: the information-bottleneck form of Blahut-Arimoto. Each update
+    maximises the same function over one block, so no update lowers any
+    multiplier's Lagrangian. Arrays carry the multiplier as their leading axis:
+    joint[s, u, x1], q[s, u, y_r, yhat].
+    """
+
+    def __init__(self, base: np.ndarray):
+        self.base = base.transpose(1, 0, 2)  # p(z) p(y_r | x1, z) as [z, x1, y_r]
+        self.p_r_x = base.sum(axis=1)  # p(y_r | x1)
+
+    def set_joint(self, joint: np.ndarray) -> None:
+        """Fix p(u, x1) and every q-independent term of the Lagrangian."""
+        self.joint = joint
+        n_s, n_u, _ = joint.shape
+        n_z, n_x, n_r = self.base.shape
+        p = joint[:, :, None, :, None] * self.base  # p(u, z, x1, y_r)
+        self.p = p.reshape(n_s, n_u, n_z * n_x, n_r)
+        p_uzr = p.sum(axis=3)
+        p_ur = p_uzr.sum(axis=2)
+        p_u = p_ur.sum(axis=2)
+        p_uz = p_uzr.sum(axis=3)
+        self.p_ur = p_ur
+        self.log_p_uz = _log2(p_uz)[:, :, :, None, None]
+        self.log_p_u = _log2(p_u)[:, :, None]
+        self.log_u_r = _log2(p_ur / np.maximum(p_ur.sum(axis=1, keepdims=True), 1e-300))
+        i_u = (_neg_xlogx(p_u, (1,)) + _neg_xlogx(p_ur.sum(axis=1), (1,))
+               - _neg_xlogx(p_ur, (1, 2)))
+        h_x_uz = _neg_xlogx(p.sum(axis=4), (1, 2, 3)) - _neg_xlogx(p_uz, (1, 2))
+        self.l_fixed = (1.0 - _MULTIPLIERS) * i_u + h_x_uz
+
+    def _posteriors(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(Lagrangian, a, (v, h)) at q.
+
+        v[s, u, z x1, yhat] is (log p(x1 | yhat, u, z) + s log p(yhat | u, z)) / s
+        for the posteriors of q, a[s, u, y_r, yhat] its p(u, z, x1, y_r)-weighted
+        sum over (z, x1), and h[s, u, y_r] the entropy of q(. | y_r, u).
+        """
+        n_s, n_u, n_zx, _ = self.p.shape
+        n_z = self.log_p_uz.shape[2]
+        p_uzxh = (self.p @ q).reshape(n_s, n_u, n_z, n_zx // n_z, -1)
+        log_uzxh = _log2(p_uzxh)
+        log_uzh = _log2(p_uzxh.sum(axis=3, keepdims=True))
+        s = _MULTIPLIERS[:, None, None, None, None]
+        v = (log_uzxh - log_uzh) / s + log_uzh - self.log_p_uz
+        v = v.reshape(n_s, n_u, n_zx, -1)
+        h_q = _neg_xlogx(q, (3,))
+        a = np.swapaxes(self.p, 2, 3) @ v
+        value = self.l_fixed + _MULTIPLIERS * (
+            np.sum(q * a, axis=(1, 2, 3)) + np.sum(self.p_ur * h_q, axis=(1, 2)))
+        return value, a, (v, h_q)
+
+    def q_loop(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Update q until no multiplier gains more than _TOL.
+
+        Returns the last q with its Lagrangian and posterior terms (v, h)."""
+        value, a, post = self._posteriors(q)
+        for _ in range(_Q_ROUNDS):
+            # q(yhat | y_r, u) proportional to 2^(a / p(u, y_r))
+            a = a / np.maximum(self.p_ur, 1e-300)[..., None]
+            q = np.exp2(a - a.max(axis=3, keepdims=True))
+            q = q / q.sum(axis=3, keepdims=True)
+            new, a, post = self._posteriors(q)
+            gain, value = np.max(new - value), new
+            if gain <= _TOL:
+                break
+        return q, value, post
+
+    def p_update(self, q: np.ndarray, post: tuple) -> np.ndarray:
+        """The p(u | x1) maximising the Lagrangian given q and its posteriors.
+
+        p(u | x1) is proportional to 2^g(u, x1), where g is the expectation
+        given (u, x1) of (1 - s) log p(u | y_r) + log p(x1 | yhat, u, z)
+        + s log p(yhat | u, z) + s H(q(. | y_r, u)), plus s log p(u).
+        """
+        v, h_q = post
+        n_s, n_u = q.shape[:2]
+        n_z, n_x, n_r = self.base.shape
+        w = (v @ np.swapaxes(q, 2, 3)).reshape(n_s, n_u, n_z, n_x, n_r)
+        s = _MULTIPLIERS[:, None, None]
+        g = s * np.einsum("zxr,buzxr->bux", self.base, w)
+        g += np.einsum("xr,bur->bux", self.p_r_x, (1.0 - s) * self.log_u_r + s * h_q)
+        g += s * self.log_p_u
+        # cells outside the support have p(x1 | yhat, u, z) = 0: they stay 0
+        support = self.joint > 0.0
+        g = np.where(support, g, -np.inf)
+        w = np.where(support, np.exp2(g - g.max(axis=1, keepdims=True)), 0.0)
+        p_x1 = self.joint.sum(axis=1, keepdims=True)
+        return p_x1 * w / w.sum(axis=1, keepdims=True)
+
+
+def _feasible(lhs: float, r1: float, tol: float) -> bool:
+    """The pipe constraint, up to the feasibility tolerance."""
+    return lhs <= r1 + tol
+
+
+def _fold(lam: float, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray],
+          card_u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Time sharing lam : 1 - lam of two schemes, folded into one decode layer.
+
+    The time-sharing variable becomes part of U: the used rows of ``a`` then
+    those of ``b``, scaled by their weights, each with its own test channel.
+    """
+    joint = np.zeros((card_u, a[0].shape[1]))
+    test = _deterministic_test(a[1].shape[1], card_u, a[1].shape[2], lossless=False)
+    k = 0
+    for weight, (j, q) in ((lam, a), (1.0 - lam, b)):
+        used = j.sum(axis=1) > 0.0
+        n = int(used.sum())
+        joint[k:k + n] = weight * j[used]
+        test[k:k + n] = q[used]
+        k += n
     return joint, test
 
 
-def _shrink_to_feasible(
-    ev: _Evaluator, joint: np.ndarray, test: np.ndarray, r1: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blend a candidate toward the zero-information scheme until feasible."""
-    _, lhs = ev.evaluate(joint, test)
-    if lhs <= r1 + tol:
-        return joint, test
-    joint0 = _safe_joint(joint.shape[0], joint.shape[1], joint.sum(axis=0))
-    test0 = _constant_test(*test.shape)
-    lo, hi = 0.0, 1.0  # t=0 carries zero rate through the pipe, always feasible
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        jm = (1.0 - mid) * joint0 + mid * joint
-        tm = (1.0 - mid) * test0 + mid * test
-        _, lhs = ev.evaluate(jm, tm)
-        if lhs <= r1 + tol:
-            lo = mid
-        else:
-            hi = mid
-    return (1.0 - lo) * joint0 + lo * joint, (1.0 - lo) * test0 + lo * test
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Gains below this no longer reset a restart's stall counter. The acceptance
-# tolerance of downstream checks is 2e-2; a restart gaining less than 1e-7
-# per accepted search is treated as converged, which lands a few 1e-3 of the
-# constrained optimum on the closed-form anchors.
-_IMPROVE_TOL = 1e-7
-
-# On a taut budget every single-column move is either infeasible or
-# rate-reducing, so a fraction of the searches move two columns at once:
-# the second column is consolidated onto its dominant output (usually) or
-# blurred toward its same-slice sibling, releasing budget the first column
-# can spend.
-_P_PAIR = 0.4
-_PAIR_BLUR = 0.3
-
-
-def _line_max(f, grid_steps: int, cur_val: float) -> tuple[float, float]:
-    """Maximise f over t in [0, 1]; f(0) = cur_val is known and feasible."""
-    best_t, best_val = 0.0, cur_val
-    ts = np.linspace(0.0, 1.0, grid_steps + 1)
-    vals = [cur_val] + [f(t) for t in ts[1:]]
-    k = int(np.argmax(vals))
-    if vals[k] > best_val:
-        best_t, best_val = float(ts[k]), float(vals[k])
-    lo = float(ts[max(k - 1, 0)])
-    hi = float(ts[min(k + 1, len(ts) - 1)])
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(12):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-            if fc > best_val:
-                best_t, best_val = c, fc
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-            if fd > best_val:
-                best_t, best_val = d, fd
-    return best_t, best_val
-
-
-def _polish(
-    ev: _Evaluator,
-    joint: np.ndarray,
-    test: np.ndarray,
-    lhs_cap: float,
-    grid_steps: int,
-    max_passes: int = 6,
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Deterministic vertex-direction sweeps until no block improves.
-
-    Random picks rarely line up the exact (block, vertex) pairs a two-point
-    optimum needs, so each restart ends with exhaustive golden searches along
-    every vertex direction of every block.
-    """
-    card_u = test.shape[1]
-    front = ev.front(joint)
-    cur_rate, cur_lhs = ev.terms(front, test)
-    n_cells = joint.size
-    for _ in range(max_passes):
-        improved = False
-        for cell in range(n_cells):
-            target = np.zeros(n_cells)
-            target[cell] = 1.0
-            target = target.reshape(joint.shape)
-
-            def f_joint(t: float) -> float:
-                jt = (1.0 - t) * joint + t * target
-                rate, lhs = ev.evaluate(jt, test)
-                return rate if lhs <= lhs_cap else -math.inf
-
-            t_best, v_best = _line_max(f_joint, grid_steps, cur_rate)
-            if v_best > cur_rate + 1e-12:
-                joint = (1.0 - t_best) * joint + t_best * target
-                front = ev.front(joint)
-                cur_rate, cur_lhs = ev.terms(front, test)
-                improved = True
-        for col_idx in range(test.shape[0] * card_u):
-            r_i, u_i = divmod(col_idx, card_u)
-            col = test[r_i, u_i, :]
-            for vertex in range(test.shape[2]):
-                target = np.zeros(test.shape[2])
-                target[vertex] = 1.0
-
-                def f_col(t: float) -> float:
-                    tt = test.copy()
-                    tt[r_i, u_i, :] = (1.0 - t) * col + t * target
-                    rate, lhs = ev.terms(front, tt)
-                    return rate if lhs <= lhs_cap else -math.inf
-
-                t_best, v_best = _line_max(f_col, grid_steps, cur_rate)
-                if v_best > cur_rate + 1e-12:
-                    test = test.copy()
-                    test[r_i, u_i, :] = (1.0 - t_best) * col + t_best * target
-                    col = test[r_i, u_i, :]
-                    cur_rate, cur_lhs = ev.terms(front, test)
-                    improved = True
-        if not improved:
-            break
-    return joint, test, cur_rate, cur_lhs
-
-
-def _random_target(rng: np.random.Generator, current: np.ndarray) -> np.ndarray:
-    """Draw a simplex point defining this search's direction from ``current``.
-
-    Vertices reach deterministic maps, Dirichlet draws explore the interior,
-    and single-pair mass exchanges allow fine moves tangent to the constraint
-    boundary.
-    """
-    size = current.size
-    u = rng.random()
-    if u < 1.0 / 3.0 or size < 2:
-        out = np.zeros(size)
-        out[rng.integers(size)] = 1.0
-        return out
-    if u < 2.0 / 3.0:
-        return rng.dirichlet(np.ones(size))
-    donors = np.flatnonzero(current > 1e-12)
-    if donors.size == 0:
-        return rng.dirichlet(np.ones(size))
-    j = int(rng.choice(donors))
-    i = int(rng.integers(size - 1))
-    if i >= j:
-        i += 1
-    out = current.copy()
-    out[i] += out[j]
-    out[j] = 0.0
-    return out
-
-
 def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveReport:
-    """Best feasible rate for the capacity expression, by multi-restart ascent.
+    """Best feasible rate for the capacity expression.
 
-    Alternates golden-section line searches over the decode-layer joint and
-    the individual test-channel columns, along randomly drawn simplex
-    directions; infeasible candidates score -inf. The result is a lower bound
-    on the capacity and is deterministic for a fixed ``(model, cfg)``.
+    Every restart fixes a starting p(u, x1) and runs the Lagrangian
+    Blahut-Arimoto iteration for each multiplier in a fixed grid. The (C, R)
+    points it ends at, plus the lossless and the constant test channel on the
+    start, form a pool; the upper concave envelope of the pool at r1 is
+    realised by time sharing two points with the same p(x1), folded into U.
+    The returned scheme is re-evaluated exactly: the result is a certified
+    lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
     """
     cfg = cfg or SolveConfig()
     if cfg.restarts < 1:
         raise UsageError("solve_capacity: restarts must be >= 1")
-    if m.n_x1 * m.n_yr * m.n_z > cfg.product_cap:
+    if cfg.max_iters < 0:
+        raise UsageError("solve_capacity: max_iters must be >= 0")
+    if m.n_x1 * m.n_yr * m.n_z > _PRODUCT_CAP:
         raise UsageError(
             f"model product |X1||Y_R||Z| = {m.n_x1 * m.n_yr * m.n_z} exceeds "
-            f"the cap {cfg.product_cap}"
+            f"the cap {_PRODUCT_CAP}"
         )
     card_u = cfg.card_u if cfg.card_u is not None else m.n_x1 + 3
     card_yhat = cfg.card_yhat if cfg.card_yhat is not None else card_u * m.n_yr + 1
@@ -448,105 +446,67 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     if r1 < -cfg.feas_tol:
         raise SolverError(f"no feasible scheme: negative link rate r1 = {r1}")
     ev = _Evaluator(m)
-    n_cols = m.n_yr * card_u
-    # Rejection threshold sits at half the feasibility tolerance: the rate can
-    # exceed the constrained optimum by at most the constraint overshoot, so
-    # this keeps reported rates within feas_tol of the true value even after
-    # float roundoff.
-    lhs_cap = r1 + 0.5 * cfg.feas_tol
+    ascent = _Ascent(ev.base)
+    n_s = _MULTIPLIERS.size
+    lossless = _deterministic_test(m.n_yr, card_u, card_yhat, lossless=True)
+    constant = _deterministic_test(m.n_yr, card_u, card_yhat, lossless=False)
+    q_init = (1.0 - _Q_BLUR) * lossless + _Q_BLUR / card_yhat
 
-    best_rate = -math.inf
-    best_state: tuple[np.ndarray, np.ndarray, float] | None = None
-    for ridx in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, ridx))
-        joint, test = _initial_scheme(ridx, rng, m.n_x1, m.n_yr, card_u, card_yhat)
-        joint, test = _shrink_to_feasible(ev, joint, test, r1, 0.5 * cfg.feas_tol)
-        front = ev.front(joint)
-        cur_rate, cur_lhs = ev.terms(front, test)
-        stall = 0
+    # pool of (joint, q[u, y_r, yhat]) per p(x1) of the start, with (R, C)
+    groups: dict[bytes, list] = {}
+    for start in itertools.islice(_starts(m.n_x1, card_u, cfg.seed), cfg.restarts):
+        ascent.set_joint(np.broadcast_to(start, (n_s,) + start.shape))
+        q, value, post = ascent.q_loop(np.broadcast_to(q_init, (n_s,) + q_init.shape))
         for _ in range(cfg.max_iters):
-            if stall > cfg.patience:
+            ascent.set_joint(ascent.p_update(q, post))
+            q, new, post = ascent.q_loop(q)
+            gain, value = np.max(new - value), new
+            if gain <= _TOL:
                 break
-            pick = int(rng.integers(n_cols + 1))
-            if pick == 0:
-                target = _random_target(rng, joint.ravel()).reshape(card_u, m.n_x1)
+        points = [(start, lossless), (start, constant)]
+        points += [(ascent.joint[i], q[i]) for i in range(n_s)]
+        group = groups.setdefault(start.sum(axis=0).tobytes(), [])
+        for joint, test in points:
+            group.append((joint, test) + ev.evaluate(joint, test.transpose(1, 0, 2)))
 
-                def f_joint(t: float) -> float:
-                    jt = (1.0 - t) * joint + t * target
-                    rate, lhs = ev.evaluate(jt, test)
-                    return rate if lhs <= lhs_cap else -math.inf
+    # the best feasible point, then the best two-point mixture at r1
+    pool = [pt for group in groups.values() for pt in group]
+    single = max((pt for pt in pool if _feasible(pt[3], r1, cfg.feas_tol)),
+                 key=lambda pt: pt[2])
+    best, mix = single[2], None
+    for group in groups.values():
+        rate = np.array([pt[2] for pt in group])
+        lhs = np.array([pt[3] for pt in group])
+        used = np.array([int((pt[0].sum(axis=1) > 0.0).sum()) for pt in group])
+        ok = ((lhs[:, None] <= r1) & (lhs[None, :] > r1)
+              & (used[:, None] + used[None, :] <= card_u))
+        if not ok.any():
+            continue
+        span = np.where(ok, lhs[None, :] - lhs[:, None], 1.0)
+        lam = np.where(ok, (lhs[None, :] - r1) / span, 0.0)
+        mixed = np.where(ok, lam * rate[:, None] + (1.0 - lam) * rate[None, :], -math.inf)
+        i, j = np.unravel_index(int(np.argmax(mixed)), mixed.shape)
+        if mixed[i, j] > best:
+            best, mix = mixed[i, j], (float(lam[i, j]), group[i][:2], group[j][:2])
 
-                t_best, v_best = _line_max(f_joint, cfg.grid_steps, cur_rate)
-                if v_best > cur_rate + 1e-13:
-                    gain = v_best - cur_rate
-                    joint = (1.0 - t_best) * joint + t_best * target
-                    front = ev.front(joint)
-                    cur_rate, cur_lhs = ev.terms(front, test)
-                    stall = 0 if gain > _IMPROVE_TOL else stall + 1
-                else:
-                    stall += 1
-            else:
-                c1 = pick - 1
-                r_i, u_i = divmod(c1, card_u)
-                target = _random_target(rng, test[r_i, u_i, :])
-                col = test[r_i, u_i, :].copy()
-                paired = n_cols > 1 and rng.random() < _P_PAIR
-                if paired:
-                    c2 = int(rng.integers(n_cols - 1))
-                    if c2 >= c1:
-                        c2 += 1
-                    r2_i, u2_i = divmod(c2, card_u)
-                    col2 = test[r2_i, u2_i, :].copy()
-                    if rng.random() < _PAIR_BLUR:
-                        relax = test[(r2_i + 1) % m.n_yr, u2_i, :].copy()
-                    else:
-                        relax = np.zeros(card_yhat)
-                        relax[int(np.argmax(col2))] = 1.0
-
-                    def f_col(t: float) -> float:
-                        tt = test.copy()
-                        tt[r_i, u_i, :] = (1.0 - t) * col + t * target
-                        tt[r2_i, u2_i, :] = (1.0 - t) * col2 + t * relax
-                        rate, lhs = ev.terms(front, tt)
-                        return rate if lhs <= lhs_cap else -math.inf
-
-                else:
-
-                    def f_col(t: float) -> float:
-                        tt = test.copy()
-                        tt[r_i, u_i, :] = (1.0 - t) * col + t * target
-                        rate, lhs = ev.terms(front, tt)
-                        return rate if lhs <= lhs_cap else -math.inf
-
-                t_best, v_best = _line_max(f_col, cfg.grid_steps, cur_rate)
-                if v_best > cur_rate + 1e-13:
-                    gain = v_best - cur_rate
-                    test = test.copy()
-                    test[r_i, u_i, :] = (1.0 - t_best) * col + t_best * target
-                    if paired:
-                        test[r2_i, u2_i, :] = (1.0 - t_best) * col2 + t_best * relax
-                    cur_rate, cur_lhs = ev.terms(front, test)
-                    stall = 0 if gain > _IMPROVE_TOL else stall + 1
-                else:
-                    stall += 1
-        joint, test, cur_rate, cur_lhs = _polish(
-            ev, joint, test, lhs_cap, cfg.grid_steps
+    def certified(joint: np.ndarray, test: np.ndarray):
+        scheme = AuxiliaryScheme(
+            joint_ux1=JointPmf(joint, axis_labels=("U", "X1")),
+            test_channel=test.transpose(1, 0, 2),
+            card_u=card_u,
+            card_yhat=card_yhat,
         )
-        if cur_rate > best_rate:
-            best_rate = cur_rate
-            best_state = (joint, test, cur_lhs)
+        return (scheme,) + ev.evaluate(scheme.joint_ux1.table, scheme.test_channel)
 
-    joint, test, lhs = best_state
-    scheme = AuxiliaryScheme(
-        joint_ux1=JointPmf(joint, axis_labels=("U", "X1")),
-        test_channel=test,
-        card_u=card_u,
-        card_yhat=card_yhat,
-    )
+    scheme, rate, lhs = certified(single[0], single[1])
+    if mix is not None:
+        cand = certified(*_fold(*mix, card_u))
+        if _feasible(cand[2], r1, cfg.feas_tol) and cand[1] > rate:
+            scheme, rate, lhs = cand
     return SolveReport(
-        best_rate=r2 + best_rate,
+        best_rate=r2 + rate,
         best_scheme=scheme,
-        feasible=True,
+        feasible=_feasible(lhs, r1, cfg.feas_tol),
         constraint_slack=r1 - lhs,
         restarts_used=cfg.restarts,
         seed=cfg.seed,
@@ -624,7 +584,7 @@ def brute_force_capacity(
                 r_i, u_i = divmod(idx, card_u)
                 test[r_i, u_i, :] = col
             rate, lhs = ev.terms(front, test)
-            if lhs <= r1 + feas_tol and rate > best:
+            if rate > best and _feasible(lhs, r1, feas_tol):
                 best = rate
     return r2 + best
 

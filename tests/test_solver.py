@@ -15,7 +15,12 @@ from relaycap.info import (
     mutual_information,
 )
 from relaycap.models import BinaryMrcd, DiscreteOrcd, ParallelBinaryMrcd, embed_binary, embed_parallel_binary
-from relaycap.rates import parallel_binary_cutset
+from relaycap.rates import (
+    parallel_binary_cf,
+    parallel_binary_cutset,
+    parallel_binary_df,
+    parallel_binary_pdcf,
+)
 from relaycap.solver import (
     AuxiliaryScheme,
     SolveConfig,
@@ -192,6 +197,23 @@ class TestSolveCapacity:
         assert payload["seed"] == 0
         got = np.asarray(payload["best_scheme"]["test_channel"])
         np.testing.assert_array_equal(got, rep.best_scheme.test_channel)
+
+
+class TestFig4CapacityPoint:
+    # DF = pDCF below delta = 0.02916, pDCF between, pDCF = cut-set above 0.2430
+    @pytest.mark.parametrize("delta", [0.02, 0.1, 0.3])
+    def test_default_solve_reaches_closed_forms(self, delta):
+        pm = ParallelBinaryMrcd(delta=delta, p_z=0.15, r1=1.2)
+        m = embed_parallel_binary(pm)
+        cfg = SolveConfig()
+        rep = solve_capacity(m)
+        closed = max(
+            f(pm).value for f in (parallel_binary_df, parallel_binary_cf, parallel_binary_pdcf)
+        )
+        assert closed - 2e-2 <= rep.best_rate <= cutset_discrete(m) + cfg.feas_tol
+        rate, lhs = objective(m, rep.best_scheme)
+        assert rate == pytest.approx(rep.best_rate, abs=1e-12)
+        assert pm.r1 - lhs == pytest.approx(rep.constraint_slack, abs=1e-12)
 
 
 class TestBruteForce:
