@@ -21,7 +21,6 @@ from .info import (
     binary_entropy,
     conditional_mutual_information,
     entropy,
-    f_bound_bsc,
     inv_binary_entropy,
     mutual_information,
     star,

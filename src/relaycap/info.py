@@ -27,7 +27,6 @@ __all__ = [
     "entropy",
     "mutual_information",
     "conditional_mutual_information",
-    "f_bound_bsc",
 ]
 
 # Mass-budget tolerance accepted by every validating constructor. Inputs that
@@ -257,18 +256,3 @@ def conditional_mutual_information(
     )
     return 0.0 if -1e-12 < val < 0.0 else val
 
-
-def f_bound_bsc(delta: float, s: float) -> float:
-    """Binary conditional entropy bound h2(delta * h2^{-1}(s)).
-
-    The least conditional input entropy H(X|W) over Markov chains X-Y-W with
-    H(Y|W) = s, when X and Y are linked by a binary symmetric channel with
-    crossover ``delta``. Nondecreasing and convex in ``s``.
-    """
-    delta = float(delta)
-    s = float(s)
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"f_bound_bsc: delta must be in [0, 0.5], got {delta}")
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"f_bound_bsc: s must be in [0, 1], got {s}")
-    return binary_entropy(star(delta, inv_binary_entropy(s)))

@@ -391,7 +391,7 @@ def model_from_dict(d: dict):
         p_z = _require(d, "p_z")
         try:
             pz = Pmf(np.asarray(p_z, dtype=float))
-        except (ValidationError, ValueError) as e:
+        except (ValidationError, ValueError, TypeError) as e:
             raise ValidationError(f"p_z: {e}") from None
         if len(pz) != sizes["z"]:
             raise ValidationError(f"p_z: length {len(pz)} != alphabets.z {sizes['z']}")
@@ -404,7 +404,7 @@ def model_from_dict(d: dict):
             raw = _require(d, name)
             try:
                 arr = np.asarray(raw, dtype=float)
-            except ValueError:
+            except (ValueError, TypeError):
                 raise ValidationError(f"{name}: expected a numeric 3-d array") from None
             if arr.shape != (n_in, sizes["z"], n_out):
                 raise ValidationError(

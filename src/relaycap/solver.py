@@ -132,61 +132,80 @@ class SolveReport:
     seed: int
 
 
-def _mi_2d(p: np.ndarray) -> float:
-    val = _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - _entropy_bits(p)
-    return 0.0 if val < 0.0 else val
+def _log2(t: np.ndarray) -> np.ndarray:
+    return np.log2(np.maximum(t, 1e-300))
 
 
-class _Front:
-    """Joint-dependent factors of the five-axis table, cached per decode layer.
+def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    return -np.sum(t * _log2(t), axis=axes)
 
-    With p(u,z,x,r) fixed, only H(U,Z,H) and H(U,Z,X,H) depend on the test
-    channel; H(U,Z,R,H) splits exactly into H(U,Z,R) plus the p(u,r)-weighted
-    test-column entropies.
+
+def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of a[i] and b[i] for every leading index i."""
+    n = a.shape[0]
+    return (a.reshape(n, 1, -1) @ b.reshape(n, -1, 1)).reshape(n)
+
+
+def _base(m: DiscreteOrcd) -> np.ndarray:
+    """p(z) p(y_r | x1, z) as base[z, x1, y_r]."""
+    return (m.chan_sr * m.p_z.probs[None, :, None]).transpose(1, 0, 2)
+
+
+class _Expression:
+    """The capacity expression of one model for a batch of decode layers.
+
+    Built from ``base`` (see ``_base``) and joint[b, u, x1] = p(u, x1); holds
+    p(u, z, x1, y_r) and every term that does not depend on the test channel.
+    ``terms`` evaluates one test channel q[b, u, y_r, yhat] = p(yhat | y_r, u)
+    per decode layer.
     """
 
-    __slots__ = ("p_uzxr", "p_uzr", "p_ur", "i_u_yr", "h_uz", "h_uzx", "h_uzr")
+    def __init__(self, base: np.ndarray, joint: np.ndarray):
+        n_b, n_u, _ = joint.shape
+        n_z, n_x, n_r = base.shape
+        self.base, self.joint = base, joint
+        p = joint[:, :, None, :, None] * base  # p(u, z, x1, y_r)
+        self.p = p.reshape(n_b, n_u, n_z * n_x, n_r)
+        p_uzr = p.sum(axis=3)
+        p_ur = p_uzr.sum(axis=2)
+        p_u = p_ur.sum(axis=2)
+        p_uz = p_uzr.sum(axis=3)
+        self.p_ur = p_ur
+        self.log_p_uz = _log2(p_uz)[:, :, :, None, None]
+        self.log_p_u = _log2(p_u)[:, :, None]
+        i_u = (_neg_xlogx(p_u, (1,)) + _neg_xlogx(p_ur.sum(axis=1), (1,))
+               - _neg_xlogx(p_ur, (1, 2)))
+        self.i_u = np.maximum(i_u, 0.0)  # I(U; Y_R)
+        self.h_uz = _neg_xlogx(p_uz, (1, 2))
+        self.h_uzx = _neg_xlogx(p.sum(axis=4), (1, 2, 3))
 
-    def __init__(self, joint: np.ndarray, base: np.ndarray):
-        # p(u, z, x, r) = p(u, x) p(z) p(r | x, z)
-        p_uzxr = np.einsum("ux,xzr->uzxr", joint, base)
-        self.p_uzxr = p_uzxr
-        self.p_uzr = p_uzxr.sum(axis=2)
-        self.p_ur = self.p_uzr.sum(axis=1)
-        self.i_u_yr = _mi_2d(self.p_ur)
-        self.h_uz = _entropy_bits(self.p_uzr.sum(axis=2))
-        self.h_uzx = _entropy_bits(p_uzxr.sum(axis=3))
-        self.h_uzr = _entropy_bits(self.p_uzr)
+    def terms(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(rate, lhs, posteriors) of the test channels q.
+
+        rate[b] = I(U; Y_R) + I(X1; Yhat | U, Z) and lhs[b] = I(U; Y_R)
+        + I(Y_R; Yhat | U, Z). The posteriors are given as the log tables
+        log p(u, z, x1, yhat) and log p(u, z, yhat), with the entropy
+        h[b, u, y_r] of each q(. | y_r, u).
+        """
+        n_b, n_u, n_z = self.log_p_uz.shape[:3]
+        p_uzxh = (self.p @ q).reshape(n_b, n_u, n_z, self.base.shape[1], -1)
+        p_uzh = p_uzxh.sum(axis=3, keepdims=True)
+        log_uzxh, log_uzh = _log2(p_uzxh), _log2(p_uzh)
+        h_q = _neg_xlogx(q, (3,))
+        h_uzh = -_batch_dot(p_uzh, log_uzh)
+        h_uzxh = -_batch_dot(p_uzxh, log_uzxh)
+        cmi_rate = self.h_uzx + h_uzh - h_uzxh - self.h_uz
+        cmi_lhs = h_uzh - np.sum(self.p_ur * h_q, axis=(1, 2)) - self.h_uz
+        rate = self.i_u + np.maximum(cmi_rate, 0.0)
+        lhs = self.i_u + np.maximum(cmi_lhs, 0.0)
+        return rate, lhs, (log_uzxh, log_uzh, h_q)
 
 
-class _Evaluator:
-    """Exact evaluation of the objective and constraint for one model."""
-
-    def __init__(self, m: DiscreteOrcd):
-        # base[x1, z, yr] = p(z) p(yr | x1, z)
-        self.base = m.chan_sr * m.p_z.probs[None, :, None]
-
-    def front(self, joint: np.ndarray) -> _Front:
-        return _Front(joint, self.base)
-
-    def terms(self, front: _Front, test: np.ndarray) -> tuple[float, float]:
-        """(objective minus R2, constraint left-hand side)."""
-        t_u = test.transpose(1, 0, 2)  # (u, r, h)
-        p_uzh = np.matmul(front.p_uzr, t_u)
-        h_uzh = _entropy_bits(p_uzh)
-        p_uzxh = np.matmul(front.p_uzxr, t_u[:, None, :, :])
-        h_uzxh = _entropy_bits(p_uzxh)
-        # column entropies of p(h | r, u), weighted by p(u, r)
-        col_h = -np.sum(test * np.log2(np.maximum(test, 1e-300)), axis=2)
-        h_h_given_uzr = float(np.sum(front.p_ur * col_h.T))
-        cmi_rate = front.h_uzx + h_uzh - h_uzxh - front.h_uz
-        cmi_lhs = h_uzh - h_h_given_uzr - front.h_uz
-        rate = front.i_u_yr + (cmi_rate if cmi_rate > 0.0 else 0.0)
-        lhs = front.i_u_yr + (cmi_lhs if cmi_lhs > 0.0 else 0.0)
-        return rate, lhs
-
-    def evaluate(self, joint: np.ndarray, test: np.ndarray) -> tuple[float, float]:
-        return self.terms(self.front(joint), test)
+def _scheme_terms(base: np.ndarray, s: AuxiliaryScheme) -> tuple[float, float]:
+    """(rate without R2, constraint value) of one scheme, as a batch of one."""
+    rate, lhs, _ = _Expression(base, s.joint_ux1.table[None]).terms(
+        s.test_channel.transpose(1, 0, 2)[None])
+    return float(rate[0]), float(lhs[0])
 
 
 def _check_scheme(m: DiscreteOrcd, s: AuxiliaryScheme) -> None:
@@ -218,9 +237,9 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
     assembled five-axis joint table.
     """
     _check_scheme(m, s)
-    caps = link_capacities(m)
-    rate, lhs = _Evaluator(m).evaluate(s.joint_ux1.table, s.test_channel)
-    return caps.r2 + rate, lhs
+    r2, _ = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z))
+    rate, lhs = _scheme_terms(_base(m), s)
+    return r2 + rate, lhs
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +267,6 @@ _Q_ROUNDS = 500
 # losslessly, and every output label starts with some mass so that none is
 # frozen at zero.
 _Q_BLUR = 1e-2
-
-
-def _log2(t: np.ndarray) -> np.ndarray:
-    return np.log2(np.maximum(t, 1e-300))
-
-
-def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    return -np.sum(t * _log2(t), axis=axes)
 
 
 def _deterministic_test(n_yr: int, card_u: int, card_yhat: int, lossless: bool) -> np.ndarray:
@@ -293,100 +304,67 @@ def _starts(n_x1: int, card_u: int, seed: int) -> Iterator[np.ndarray]:
         yield rng.dirichlet(np.ones(card_u * n_x1)).reshape(card_u, n_x1)
 
 
-class _Ascent:
-    """Alternating maximisation of R - s*C, every multiplier s at once.
+def _v(ex: _Expression, post: tuple) -> np.ndarray:
+    """v[s, u, z x1, yhat] = (log p(x1 | yhat, u, z) + s log p(yhat | u, z)) / s."""
+    log_uzxh, log_uzh, _ = post
+    v = log_uzxh - log_uzh
+    v /= _MULTIPLIERS[:, None, None, None, None]
+    v += log_uzh
+    v -= ex.log_p_uz
+    return v.reshape(ex.p.shape[:3] + (-1,))
 
-    With p(u, x1) fixed, the test channel q(yhat | y_r, u) that maximises the
-    Lagrangian given the posteriors p(x1 | yhat, u, z) and p(yhat | u, z) is
-    closed form, and so is p(u | x1) (p(x1) held fixed) given q and the
-    posteriors: the information-bottleneck form of Blahut-Arimoto. Each update
-    maximises the same function over one block, so no update lowers any
-    multiplier's Lagrangian. Arrays carry the multiplier as their leading axis:
-    joint[s, u, x1], q[s, u, y_r, yhat].
+
+def _q_loop(ex: _Expression, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Update q until no multiplier gains more than _TOL.
+
+    Returns the last q with its Lagrangian R - s*C and its ``terms``. With
+    p(u, x1) fixed, the q maximising the Lagrangian given the posteriors of
+    the previous q is closed form; this and ``_p_update`` are the
+    information-bottleneck form of Blahut-Arimoto. Each update maximises the
+    same function over one block, so none lowers any multiplier's Lagrangian.
+    Arrays carry the multiplier as their leading axis: q[s, u, y_r, yhat].
     """
+    terms = ex.terms(q)
+    value = terms[0] - _MULTIPLIERS * terms[1]
+    for _ in range(_Q_ROUNDS):
+        # q(yhat | y_r, u) proportional to 2^(a / p(u, y_r)), with a the
+        # p(u, z, x1, y_r)-weighted sum of v over (z, x1)
+        a = np.swapaxes(ex.p, 2, 3) @ _v(ex, terms[2])
+        a /= np.maximum(ex.p_ur, 1e-300)[..., None]
+        a -= a.max(axis=3, keepdims=True)
+        q = np.exp2(a)
+        q /= q.sum(axis=3, keepdims=True)
+        terms = ex.terms(q)
+        new = terms[0] - _MULTIPLIERS * terms[1]
+        gain, value = np.max(new - value), new
+        if gain <= _TOL:
+            break
+    return q, value, terms
 
-    def __init__(self, base: np.ndarray):
-        self.base = base.transpose(1, 0, 2)  # p(z) p(y_r | x1, z) as [z, x1, y_r]
-        self.p_r_x = base.sum(axis=1)  # p(y_r | x1)
 
-    def set_joint(self, joint: np.ndarray) -> None:
-        """Fix p(u, x1) and every q-independent term of the Lagrangian."""
-        self.joint = joint
-        n_s, n_u, _ = joint.shape
-        n_z, n_x, n_r = self.base.shape
-        p = joint[:, :, None, :, None] * self.base  # p(u, z, x1, y_r)
-        self.p = p.reshape(n_s, n_u, n_z * n_x, n_r)
-        p_uzr = p.sum(axis=3)
-        p_ur = p_uzr.sum(axis=2)
-        p_u = p_ur.sum(axis=2)
-        p_uz = p_uzr.sum(axis=3)
-        self.p_ur = p_ur
-        self.log_p_uz = _log2(p_uz)[:, :, :, None, None]
-        self.log_p_u = _log2(p_u)[:, :, None]
-        self.log_u_r = _log2(p_ur / np.maximum(p_ur.sum(axis=1, keepdims=True), 1e-300))
-        i_u = (_neg_xlogx(p_u, (1,)) + _neg_xlogx(p_ur.sum(axis=1), (1,))
-               - _neg_xlogx(p_ur, (1, 2)))
-        h_x_uz = _neg_xlogx(p.sum(axis=4), (1, 2, 3)) - _neg_xlogx(p_uz, (1, 2))
-        self.l_fixed = (1.0 - _MULTIPLIERS) * i_u + h_x_uz
+def _p_update(ex: _Expression, q: np.ndarray, post: tuple) -> np.ndarray:
+    """The p(u, x1) maximising the Lagrangian given q and its posteriors.
 
-    def _posteriors(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """(Lagrangian, a, (v, h)) at q.
-
-        v[s, u, z x1, yhat] is (log p(x1 | yhat, u, z) + s log p(yhat | u, z)) / s
-        for the posteriors of q, a[s, u, y_r, yhat] its p(u, z, x1, y_r)-weighted
-        sum over (z, x1), and h[s, u, y_r] the entropy of q(. | y_r, u).
-        """
-        n_s, n_u, n_zx, _ = self.p.shape
-        n_z = self.log_p_uz.shape[2]
-        p_uzxh = (self.p @ q).reshape(n_s, n_u, n_z, n_zx // n_z, -1)
-        log_uzxh = _log2(p_uzxh)
-        log_uzh = _log2(p_uzxh.sum(axis=3, keepdims=True))
-        s = _MULTIPLIERS[:, None, None, None, None]
-        v = (log_uzxh - log_uzh) / s + log_uzh - self.log_p_uz
-        v = v.reshape(n_s, n_u, n_zx, -1)
-        h_q = _neg_xlogx(q, (3,))
-        a = np.swapaxes(self.p, 2, 3) @ v
-        value = self.l_fixed + _MULTIPLIERS * (
-            np.sum(q * a, axis=(1, 2, 3)) + np.sum(self.p_ur * h_q, axis=(1, 2)))
-        return value, a, (v, h_q)
-
-    def q_loop(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """Update q until no multiplier gains more than _TOL.
-
-        Returns the last q with its Lagrangian and posterior terms (v, h)."""
-        value, a, post = self._posteriors(q)
-        for _ in range(_Q_ROUNDS):
-            # q(yhat | y_r, u) proportional to 2^(a / p(u, y_r))
-            a = a / np.maximum(self.p_ur, 1e-300)[..., None]
-            q = np.exp2(a - a.max(axis=3, keepdims=True))
-            q = q / q.sum(axis=3, keepdims=True)
-            new, a, post = self._posteriors(q)
-            gain, value = np.max(new - value), new
-            if gain <= _TOL:
-                break
-        return q, value, post
-
-    def p_update(self, q: np.ndarray, post: tuple) -> np.ndarray:
-        """The p(u | x1) maximising the Lagrangian given q and its posteriors.
-
-        p(u | x1) is proportional to 2^g(u, x1), where g is the expectation
-        given (u, x1) of (1 - s) log p(u | y_r) + log p(x1 | yhat, u, z)
-        + s log p(yhat | u, z) + s H(q(. | y_r, u)), plus s log p(u).
-        """
-        v, h_q = post
-        n_s, n_u = q.shape[:2]
-        n_z, n_x, n_r = self.base.shape
-        w = (v @ np.swapaxes(q, 2, 3)).reshape(n_s, n_u, n_z, n_x, n_r)
-        s = _MULTIPLIERS[:, None, None]
-        g = s * np.einsum("zxr,buzxr->bux", self.base, w)
-        g += np.einsum("xr,bur->bux", self.p_r_x, (1.0 - s) * self.log_u_r + s * h_q)
-        g += s * self.log_p_u
-        # cells outside the support have p(x1 | yhat, u, z) = 0: they stay 0
-        support = self.joint > 0.0
-        g = np.where(support, g, -np.inf)
-        w = np.where(support, np.exp2(g - g.max(axis=1, keepdims=True)), 0.0)
-        p_x1 = self.joint.sum(axis=1, keepdims=True)
-        return p_x1 * w / w.sum(axis=1, keepdims=True)
+    p(x1) is held fixed and p(u | x1) is proportional to 2^g(u, x1), where g
+    is the expectation given (u, x1) of (1 - s) log p(u | y_r)
+    + log p(x1 | yhat, u, z) + s log p(yhat | u, z) + s H(q(. | y_r, u)),
+    plus s log p(u).
+    """
+    h_q = post[2]
+    n_s, n_u = q.shape[:2]
+    n_z, n_x, n_r = ex.base.shape
+    w = (_v(ex, post) @ np.swapaxes(q, 2, 3)).reshape(n_s, n_u, n_z, n_x, n_r)
+    s = _MULTIPLIERS[:, None, None]
+    log_u_r = _log2(ex.p_ur / np.maximum(ex.p_ur.sum(axis=1, keepdims=True), 1e-300))
+    g = s * np.einsum("zxr,buzxr->bux", ex.base, w)
+    g += np.einsum("xr,bur->bux", ex.base.sum(axis=0), (1.0 - s) * log_u_r + s * h_q)
+    g += s * ex.log_p_u
+    # cells outside the support have p(x1 | yhat, u, z) = 0: they stay 0
+    support = ex.joint > 0.0
+    g = np.where(support, g, -np.inf)
+    w = np.where(support, np.exp2(g - g.max(axis=1, keepdims=True)), 0.0)
+    p_x1 = ex.joint.sum(axis=1, keepdims=True)
+    return p_x1 * w / w.sum(axis=1, keepdims=True)
 
 
 def _feasible(lhs: float, r1: float, tol: float) -> bool:
@@ -445,29 +423,28 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     r1, r2 = caps.r1, caps.r2
     if r1 < -cfg.feas_tol:
         raise SolverError(f"no feasible scheme: negative link rate r1 = {r1}")
-    ev = _Evaluator(m)
-    ascent = _Ascent(ev.base)
+    base = _base(m)
     n_s = _MULTIPLIERS.size
     lossless = _deterministic_test(m.n_yr, card_u, card_yhat, lossless=True)
     constant = _deterministic_test(m.n_yr, card_u, card_yhat, lossless=False)
     q_init = (1.0 - _Q_BLUR) * lossless + _Q_BLUR / card_yhat
+    fixed = np.stack([lossless, constant])
 
-    # pool of (joint, q[u, y_r, yhat]) per p(x1) of the start, with (R, C)
+    # pool of (joint, q[u, y_r, yhat], R, C) per p(x1) of the start
     groups: dict[bytes, list] = {}
     for start in itertools.islice(_starts(m.n_x1, card_u, cfg.seed), cfg.restarts):
-        ascent.set_joint(np.broadcast_to(start, (n_s,) + start.shape))
-        q, value, post = ascent.q_loop(np.broadcast_to(q_init, (n_s,) + q_init.shape))
+        ex = _Expression(base, np.broadcast_to(start, (n_s,) + start.shape))
+        q, value, terms = _q_loop(ex, np.broadcast_to(q_init, (n_s,) + q_init.shape))
         for _ in range(cfg.max_iters):
-            ascent.set_joint(ascent.p_update(q, post))
-            q, new, post = ascent.q_loop(q)
+            ex = _Expression(base, _p_update(ex, q, terms[2]))
+            q, new, terms = _q_loop(ex, q)
             gain, value = np.max(new - value), new
             if gain <= _TOL:
                 break
-        points = [(start, lossless), (start, constant)]
-        points += [(ascent.joint[i], q[i]) for i in range(n_s)]
         group = groups.setdefault(start.sum(axis=0).tobytes(), [])
-        for joint, test in points:
-            group.append((joint, test) + ev.evaluate(joint, test.transpose(1, 0, 2)))
+        group += zip((start, start), fixed,
+                     *_Expression(base, np.stack([start, start])).terms(fixed)[:2])
+        group += zip(ex.joint, q, *terms[:2])
 
     # the best feasible point, then the best two-point mixture at r1
     pool = [pt for group in groups.values() for pt in group]
@@ -496,7 +473,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
             card_u=card_u,
             card_yhat=card_yhat,
         )
-        return (scheme,) + ev.evaluate(scheme.joint_ux1.table, scheme.test_channel)
+        return (scheme,) + _scheme_terms(base, scheme)
 
     scheme, rate, lhs = certified(single[0], single[1])
     if mix is not None:
@@ -563,11 +540,10 @@ def brute_force_capacity(
 
     caps = link_capacities(m)
     r1, r2 = caps.r1, caps.r2
-    ev = _Evaluator(m)
     n_cols = m.n_yr * card_u
 
     joints = [j.reshape(card_u, m.n_x1) for j in _simplex_grid(card_u * m.n_x1, steps)]
-    cols = list(_simplex_grid(card_yhat, steps))
+    cols = np.array(list(_simplex_grid(card_yhat, steps)))
     combos = len(joints) * len(cols) ** n_cols
     if combos > 2_000_000:
         raise UsageError(
@@ -575,17 +551,22 @@ def brute_force_capacity(
             "coarsen the resolution or reduce the cardinalities"
         )
 
+    # one batch per prefix of the columns: the last column, (u, y_r) =
+    # (card_u - 1, |Y_R| - 1), takes every grid value at once
+    base = _base(m)
     best = -math.inf
-    test = np.empty((m.n_yr, card_u, card_yhat))
+    test = np.empty((len(cols), card_u, m.n_yr, card_yhat))
+    test[:, -1, -1] = cols
     for joint in joints:
-        front = ev.front(joint)
-        for combo in itertools.product(cols, repeat=n_cols):
-            for idx, col in enumerate(combo):
+        ex = _Expression(base, np.broadcast_to(joint, (len(cols),) + joint.shape))
+        for prefix in itertools.product(cols, repeat=n_cols - 1):
+            for idx, col in enumerate(prefix):
                 r_i, u_i = divmod(idx, card_u)
-                test[r_i, u_i, :] = col
-            rate, lhs = ev.terms(front, test)
-            if rate > best and _feasible(lhs, r1, feas_tol):
-                best = rate
+                test[:, u_i, r_i] = col
+            rate, lhs, _ = ex.terms(test)
+            feasible = _feasible(lhs, r1, feas_tol)
+            if feasible.any():
+                best = max(best, float(rate[feasible].max()))
     return r2 + best
 
 

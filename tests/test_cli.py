@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from relaycap.cli import main
+from relaycap.models import BinaryMrcd, embed_binary, model_to_dict
 
 BIN_MODEL = {"type": "binary", "delta": 0.1, "p_z": 0.5, "r1": 0.25}
 
@@ -150,6 +151,13 @@ class TestSolveCommand:
         out = tmp_path / "report.json"
         assert main(["solve", "--model", str(model), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        # a JSON object where a pmf or a channel table belongs
+        good = model_to_dict(embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25)))
+        for field in ("p_z", "chan_sr"):
+            model = _write_model(tmp_path, dict(good, **{field: {"a": 1}}))
+            for command in ("solve", "classify"):
+                assert main([command, "--model", str(model), "--out", str(out)]) == 2
+                assert field in capsys.readouterr().err
 
     def test_missing_field_reports_path(self, tmp_path, capsys):
         model = _write_model(tmp_path, {"type": "binary", "p_z": 0.5, "r1": 0.25})

@@ -12,7 +12,6 @@ from relaycap.info import (
     binary_entropy,
     conditional_mutual_information,
     entropy,
-    f_bound_bsc,
     inv_binary_entropy,
     mutual_information,
     star,
@@ -23,7 +22,6 @@ from relaycap.info import (
 H2_011 = 0.4999159581645280
 H2_015 = 0.6098403047164004
 INV_H2_08 = 0.2430038538089539
-F_BOUND_01_075 = 0.8437531647053779
 
 
 def _loop_entropy(table) -> float:
@@ -266,36 +264,3 @@ class TestConditionalMutualInformation:
         j = JointPmf(np.full((2, 2, 2), 0.125), axis_labels=("A", "B", "C"))
         with pytest.raises(UsageError):
             conditional_mutual_information(j, "A", "B", ("B", "C"))
-
-
-class TestFBoundBsc:
-    def test_zero_budget_returns_channel_entropy(self):
-        for delta in (0.05, 0.2, 0.45):
-            assert f_bound_bsc(delta, 0.0) == pytest.approx(binary_entropy(delta), abs=1e-12)
-
-    def test_noiseless_channel_passes_entropy_through(self):
-        for s in np.linspace(0.0, 1.0, 21):
-            assert f_bound_bsc(0.0, s) == pytest.approx(s, abs=1e-10)
-
-    def test_reference_value(self):
-        assert f_bound_bsc(0.1, 0.75) == pytest.approx(F_BOUND_01_075, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            f_bound_bsc(0.6, 0.5)
-        with pytest.raises(DomainError):
-            f_bound_bsc(0.1, 1.5)
-
-    def test_nondecreasing_in_s(self):
-        for delta in (0.05, 0.1, 0.25, 0.4):
-            vals = [f_bound_bsc(delta, s) for s in np.linspace(0.0, 1.0, 101)]
-            assert all(b - a >= -1e-10 for a, b in zip(vals, vals[1:]))
-
-    def test_convexity_in_s(self):
-        # second finite differences of s -> f_bound stay nonnegative
-        grid = np.linspace(0.0, 1.0, 200)
-        h = grid[1] - grid[0]
-        for delta in (0.05, 0.1, 0.25, 0.4):
-            vals = np.array([f_bound_bsc(delta, s) for s in grid])
-            second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h**2
-            assert second.min() >= -1e-8

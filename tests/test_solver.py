@@ -241,6 +241,23 @@ class TestBruteForce:
         fine = brute_force_capacity(m, 0.05)
         assert fine >= coarse - 1e-12
 
+    # Frozen values of the oracle on the fair-state anchors, for the default
+    # cardinalities at pitch 0.1, |U| = |Yhat| = 2 at 0.2 and |Yhat| = 3 at
+    # 0.1: any reordering or batching of the enumeration must reproduce them.
+    @pytest.mark.parametrize("delta, pinned", [
+        (0.0, (0.2364527976600277, 0.2439946188043962, 0.2499294173513218)),
+        (0.1, (0.13276067602338637, 0.13919506701645323, 0.15405932956691704)),
+        (0.25, (0.05037370134757868, 0.052745555699607705, 0.058304390300228714)),
+    ])
+    def test_anchor_values_pinned(self, delta, pinned):
+        m = _bin_model(delta)
+        got = (
+            brute_force_capacity(m, 0.1),
+            brute_force_capacity(m, 0.2, card_u=2, card_yhat=2),
+            brute_force_capacity(m, 0.1, card_yhat=3),
+        )
+        assert got == pytest.approx(pinned, abs=1e-12)
+
     def test_solver_dominates_grid(self):
         rng = np.random.default_rng(24)
         for _ in range(5):

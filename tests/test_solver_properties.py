@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaycap.models import DiscreteOrcd
-from relaycap.solver import SolveConfig, cutset_discrete, objective, solve_capacity
+from relaycap.solver import (
+    AuxiliaryScheme,
+    SolveConfig,
+    cutset_discrete,
+    objective,
+    solve_capacity,
+)
 
 CFG = SolveConfig(restarts=3, max_iters=10, seed=5)
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -20,10 +26,10 @@ def _pmf(draw, n: int) -> np.ndarray:
 
 
 @st.composite
-def bit_pipe_models(draw) -> DiscreteOrcd:
-    n_x1 = draw(st.integers(1, 3))
-    n_yr = draw(st.integers(1, 3))
-    n_z = draw(st.integers(1, 3))
+def bit_pipe_models(draw, smallest: int = 1) -> DiscreteOrcd:
+    n_x1 = draw(st.integers(smallest, 3))
+    n_yr = draw(st.integers(smallest, 3))
+    n_z = draw(st.integers(smallest, 3))
     chan_sr = np.array(
         [[_pmf(draw, n_yr) for _ in range(n_z)] for _ in range(n_x1)]
     )
@@ -35,6 +41,30 @@ def bit_pipe_models(draw) -> DiscreteOrcd:
         chan_sd=trivial,
         r1_pipe=draw(st.floats(0.0, 2.0)),
     )
+
+
+@st.composite
+def relabelled_schemes(draw):
+    """A model and a scheme on it, then both with the x1, y_r and z
+    alphabets relabelled by random permutations; size-1 alphabets have
+    nothing to relabel."""
+    m = draw(bit_pipe_models(smallest=2))
+    card_u = draw(st.integers(1, 3))
+    card_yhat = draw(st.integers(1, min(3, card_u * m.n_yr + 1)))
+    joint = _pmf(draw, card_u * m.n_x1).reshape(card_u, m.n_x1)
+    test = np.array([[_pmf(draw, card_yhat) for _ in range(card_u)] for _ in range(m.n_yr)])
+    px, pr, pz = (draw(st.permutations(range(n))) for n in (m.n_x1, m.n_yr, m.n_z))
+    relabelled = DiscreteOrcd(
+        p_z=m.p_z.probs[pz],
+        chan_sr=m.chan_sr[px][:, pz][:, :, pr],
+        chan_rd=m.chan_rd[:, pz],
+        chan_sd=m.chan_sd[:, pz],
+        r1_pipe=m.r1_pipe,
+    )
+    return [
+        (model, AuxiliaryScheme(joint_ux1=j, test_channel=t, card_u=card_u, card_yhat=card_yhat))
+        for model, j, t in ((m, joint, test), (relabelled, joint[:, px], test[pr]))
+    ]
 
 
 @PROPERTY
@@ -70,3 +100,13 @@ def test_repeated_solves_identical(m):
     assert a.constraint_slack == b.constraint_slack
     np.testing.assert_array_equal(a.best_scheme.joint_ux1.table, b.best_scheme.joint_ux1.table)
     np.testing.assert_array_equal(a.best_scheme.test_channel, b.best_scheme.test_channel)
+
+
+@PROPERTY
+@given(relabelled_schemes())
+def test_objective_invariant_under_relabelling(pairs):
+    (m, scheme), (m_perm, scheme_perm) = pairs
+    rate, lhs = objective(m, scheme)
+    rate_perm, lhs_perm = objective(m_perm, scheme_perm)
+    assert abs(rate_perm - rate) <= 1e-12
+    assert abs(lhs_perm - lhs) <= 1e-12
