@@ -10,8 +10,9 @@ seed produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .models import (
     BinaryMrcd,
     GaussianMrcd,
     ParallelBinaryMrcd,
+    _write_json,
     as_discrete,
     load_model,
 )
@@ -31,17 +33,42 @@ from .solver import (
     solve_capacity,
 )
 
-__all__ = [
-    "main",
-    "build_parser",
-    "run_fig4",
-    "run_fig6",
-    "run_fig7",
-    "run_solve",
-    "run_classify",
-]
+__all__ = ["main", "build_parser"]
 
 DEFAULT_STEPS = 201
+
+
+class _Figure(NamedTuple):
+    """A figure command: sweep ``param`` of ``model`` over [0, ``stop``].
+
+    ``flags`` maps each command-line flag to the model field it overrides;
+    the flag's default is the field's value in ``model``.
+    """
+
+    help: str
+    model: object
+    param: str
+    stop: float
+    flags: dict[str, str]
+
+
+_FIGURES = {
+    "fig4": _Figure(
+        "parallel binary sweep over the noise parameter",
+        ParallelBinaryMrcd(delta=0.0, p_z=0.15, r1=1.2), "delta", 0.5,
+        {"--r1": "r1", "--pz": "p_z"},
+    ),
+    "fig6": _Figure(
+        "gaussian sweep over the state correlation",
+        GaussianMrcd(power=0.3, rho=0.0, r1=1.0), "rho", 1.0,
+        {"--r1": "r1", "--power": "power"},
+    ),
+    "fig7": _Figure(
+        "binary sweep over the noise parameter",
+        BinaryMrcd(delta=0.0, p_z=0.5, r1=0.25), "delta", 0.5,
+        {"--r1": "r1", "--pz": "p_z"},
+    ),
+}
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -66,59 +93,14 @@ def _write_curve(curve: RateCurve, out_path: str, fmt: str) -> None:
         raise UsageError(f"unknown format {fmt!r}")
 
 
-def run_fig4(
-    out_path: str,
-    fmt: str = "csv",
-    grid: np.ndarray | None = None,
-    r1: float = 1.2,
-    p_z: float = 0.15,
-) -> RateCurve:
-    """Parallel binary sweep over the noise parameter (cutset/df/cf/pdcf)."""
-    if grid is None:
-        grid = np.linspace(0.0, 0.5, DEFAULT_STEPS)
-    curve = sweep(ParallelBinaryMrcd(delta=0.0, p_z=p_z, r1=r1), "delta", grid)
-    _write_curve(curve, out_path, fmt)
-    return curve
-
-
-def run_fig6(
-    out_path: str,
-    fmt: str = "csv",
-    grid: np.ndarray | None = None,
-    r1: float = 1.0,
-    power: float = 0.3,
-) -> RateCurve:
-    """Gaussian sweep over the state correlation (cutset/df/cf/pdcf)."""
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, DEFAULT_STEPS)
-    curve = sweep(GaussianMrcd(power=power, rho=0.0, r1=r1), "rho", grid)
-    _write_curve(curve, out_path, fmt)
-    return curve
-
-
-def run_fig7(
-    out_path: str,
-    fmt: str = "csv",
-    grid: np.ndarray | None = None,
-    r1: float = 0.25,
-    p_z: float = 0.5,
-) -> RateCurve:
-    """Binary sweep over the noise parameter; includes capacity at p_z = 0.5."""
-    if grid is None:
-        grid = np.linspace(0.0, 0.5, DEFAULT_STEPS)
-    curve = sweep(BinaryMrcd(delta=0.0, p_z=p_z, r1=r1), "delta", grid)
-    _write_curve(curve, out_path, fmt)
-    return curve
-
-
 def _cmd_fig(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid) if args.grid else None
-    if args.command == "fig4":
-        run_fig4(args.out, args.format, grid, r1=args.r1, p_z=args.pz)
-    elif args.command == "fig6":
-        run_fig6(args.out, args.format, grid, r1=args.r1, power=args.power)
-    else:
-        run_fig7(args.out, args.format, grid, r1=args.r1, p_z=args.pz)
+    fig = _FIGURES[args.command]
+    grid = _parse_grid(args.grid) if args.grid else np.linspace(0.0, fig.stop, DEFAULT_STEPS)
+    # replace() reruns the model's validation on the overridden fields
+    model = dataclasses.replace(
+        fig.model, **{field: getattr(args, field) for field in fig.flags.values()}
+    )
+    _write_curve(sweep(model, fig.param, grid), args.out, args.format)
     return 0
 
 
@@ -127,27 +109,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     curve = sweep(model, args.param, _parse_grid(args.grid))
     _write_curve(curve, args.out, args.format)
     return 0
-
-
-def run_solve(model_path: str, out_path: str, cfg: SolveConfig | None = None) -> dict:
-    """Solve the capacity expression for a model file; write the JSON report."""
-    model = as_discrete(load_model(model_path))
-    report = solve_capacity(model, cfg)
-    payload = report_to_dict(report)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
-def run_classify(model_path: str, out_path: str) -> dict:
-    """Classify cut-set tightness for a model file; write the JSON case list."""
-    model = as_discrete(load_model(model_path))
-    payload = {"cases": sorted(classify_cutset_tightness(model))}
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
 
 
 def _solve_config(args: argparse.Namespace) -> SolveConfig:
@@ -160,12 +121,14 @@ def _solve_config(args: argparse.Namespace) -> SolveConfig:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    run_solve(args.model, args.out, _solve_config(args))
+    report = solve_capacity(as_discrete(load_model(args.model)), _solve_config(args))
+    _write_json(report_to_dict(report), args.out)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    run_classify(args.model, args.out)
+    cases = classify_cutset_tightness(as_discrete(load_model(args.model)))
+    _write_json({"cases": sorted(cases)}, args.out)
     return 0
 
 
@@ -185,23 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig4 = sub.add_parser("fig4", help="parallel binary sweep over the noise parameter")
-    _add_output_flags(fig4)
-    fig4.add_argument("--r1", type=float, default=1.2)
-    fig4.add_argument("--pz", type=float, default=0.15)
-    fig4.set_defaults(func=_cmd_fig)
-
-    fig6 = sub.add_parser("fig6", help="gaussian sweep over the state correlation")
-    _add_output_flags(fig6)
-    fig6.add_argument("--r1", type=float, default=1.0)
-    fig6.add_argument("--power", type=float, default=0.3)
-    fig6.set_defaults(func=_cmd_fig)
-
-    fig7 = sub.add_parser("fig7", help="binary sweep over the noise parameter")
-    _add_output_flags(fig7)
-    fig7.add_argument("--r1", type=float, default=0.25)
-    fig7.add_argument("--pz", type=float, default=0.5)
-    fig7.set_defaults(func=_cmd_fig)
+    for name, fig in _FIGURES.items():
+        p = sub.add_parser(name, help=fig.help)
+        _add_output_flags(p)
+        for flag, field in fig.flags.items():
+            p.add_argument(flag, dest=field, metavar=flag[2:].upper(), type=float,
+                           default=getattr(fig.model, field))
+        p.set_defaults(func=_cmd_fig)
 
     sw = sub.add_parser("sweep", help="sweep one parameter of a model file")
     sw.add_argument("--model", required=True, help="model JSON path")

@@ -57,6 +57,36 @@ def _as_prob_array(values, *, name: str) -> np.ndarray:
     return np.clip(arr, 0.0, None)
 
 
+def _conditional(name: str, table, ndim: int) -> np.ndarray:
+    """Validate a conditional pmf table with ``ndim`` axes.
+
+    Every slice along the last axis must be a pmf: finite entries, none below
+    -``PROB_TOL``, summing to 1 within ``PROB_TOL``. Errors name the first bad
+    slice by its leading indices, as ``name[i][j]``. Returns the table
+    renormalised exactly and frozen.
+    """
+    arr = np.asarray(table, dtype=float)
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name}: expected {ndim} axes, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name}: entries must be finite")
+    negative = arr < -PROB_TOL
+    if negative.any():
+        at = "".join(f"[{i}]" for i in np.argwhere(negative)[0][:-1])
+        raise ValidationError(f"{name}{at}: negative entry")
+    arr = np.clip(arr, 0.0, None)
+    sums = arr.sum(axis=-1)
+    off = np.abs(sums - 1.0) > PROB_TOL
+    if off.any():
+        at = tuple(np.argwhere(off)[0])
+        raise ValidationError(
+            f"{name}{''.join(f'[{i}]' for i in at)}: conditional slice sums to {sums[at]}"
+        )
+    arr = arr / sums[..., None]
+    arr.flags.writeable = False
+    return arr
+
+
 def binary_entropy(p: float) -> float:
     """h2(p) = -p*log2(p) - (1-p)*log2(1-p).
 

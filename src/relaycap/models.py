@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SolverError, UsageError, ValidationError
-from .info import PROB_TOL, Pmf
+from .info import Pmf, _conditional
 
 __all__ = [
     "DiscreteOrcd",
@@ -41,30 +41,11 @@ __all__ = [
 
 
 def _validate_channel(name: str, table, n_z: int) -> np.ndarray:
-    arr = np.asarray(table, dtype=float)
-    if arr.ndim != 3:
-        raise ValidationError(
-            f"{name}: expected shape (input, state, output), got {arr.shape}"
-        )
+    arr = _conditional(name, table, 3)
     if arr.shape[1] != n_z:
         raise ValidationError(
             f"{name}: state axis has size {arr.shape[1]}, expected {n_z}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name}: entries must be finite")
-    if float(arr.min()) < -PROB_TOL:
-        bad = np.unravel_index(int(arr.argmin()), arr.shape)
-        raise ValidationError(f"{name}[{bad[0]}][{bad[1]}]: negative entry")
-    arr = np.clip(arr, 0.0, None)
-    sums = arr.sum(axis=2)
-    off = np.abs(sums - 1.0) > PROB_TOL
-    if off.any():
-        i, z = map(int, np.argwhere(off)[0])
-        raise ValidationError(
-            f"{name}[{i}][{z}]: conditional slice sums to {sums[i, z]}"
-        )
-    arr = arr / sums[:, :, None]
-    arr.flags.writeable = False
     return arr
 
 
@@ -141,12 +122,12 @@ def _check_rate(name: str, value: float) -> float:
 
 
 @dataclass(frozen=True)
-class ParallelBinaryMrcd:
-    """Two parallel binary symmetric source-relay links, state on the first.
+class _BitPipeMrcd:
+    """Fields and validation shared by the two binary families.
 
-    ``delta`` is the crossover probability of both links' noise, ``p_z`` the
-    Bernoulli parameter of the state on the first link, ``r1`` the rate of
-    the noiseless relay-destination pipe.
+    The families are siblings, not parent and child: exact-type dispatch
+    (``sweep``, ``as_discrete``, the JSON family table) must never mistake
+    one for the other.
     """
 
     delta: float
@@ -160,17 +141,18 @@ class ParallelBinaryMrcd:
 
 
 @dataclass(frozen=True)
-class BinaryMrcd:
+class ParallelBinaryMrcd(_BitPipeMrcd):
+    """Two parallel binary symmetric source-relay links, state on the first.
+
+    ``delta`` is the crossover probability of both links' noise, ``p_z`` the
+    Bernoulli parameter of the state on the first link, ``r1`` the rate of
+    the noiseless relay-destination pipe.
+    """
+
+
+@dataclass(frozen=True)
+class BinaryMrcd(_BitPipeMrcd):
     """Single binary symmetric source-relay link with additive state."""
-
-    delta: float
-    p_z: float
-    r1: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", _check_unit_interval("delta", self.delta, 0.0, 0.5))
-        object.__setattr__(self, "p_z", _check_unit_interval("p_z", self.p_z, 0.0, 1.0))
-        object.__setattr__(self, "r1", _check_rate("r1", self.r1))
 
 
 @dataclass(frozen=True)
@@ -216,13 +198,7 @@ def channel_capacity(
     the true capacity. Raises ``SolverError`` (carrying the last gap) if the
     iteration cap is hit first.
     """
-    w = np.asarray(w_yx, dtype=float)
-    if w.ndim != 2:
-        raise ValidationError(f"channel_capacity: expected a matrix, got {w.shape}")
-    row_sums = w.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > PROB_TOL) or float(w.min()) < -PROB_TOL:
-        raise ValidationError("channel_capacity: rows must be conditional pmfs")
-    w = np.clip(w, 0.0, None) / row_sums[:, None]
+    w = _conditional("channel_capacity: w_yx", w_yx, 2)
     n_in = w.shape[0]
     if n_in == 1:
         return 0.0, np.ones(1)
@@ -256,6 +232,13 @@ def _state_compound_matrix(chan: np.ndarray, p_z: Pmf) -> np.ndarray:
     return (chan * p_z.probs[None, :, None]).reshape(n_in, n_z * n_out)
 
 
+def _relay_rate(m: DiscreteOrcd, tol: float = 1e-9) -> tuple[float, np.ndarray]:
+    """max I(X_R; Y1 | Z) and its input pmf; a bit pipe short-circuits the link."""
+    if m.r1_pipe is not None:
+        return m.r1_pipe, np.full(m.n_xr, 1.0 / m.n_xr)
+    return channel_capacity(_state_compound_matrix(m.chan_rd, m.p_z), tol=tol)
+
+
 def link_capacities(m: DiscreteOrcd, *, tol: float = 1e-9) -> LinkCapacities:
     """max I(X_R; Y1 | Z) and max I(X2; Y2 | Z) over the input distributions.
 
@@ -264,10 +247,7 @@ def link_capacities(m: DiscreteOrcd, *, tol: float = 1e-9) -> LinkCapacities:
     input -> (output, state), which Blahut-Arimoto maximises directly. A bit
     pipe short-circuits the relay-destination link.
     """
-    if m.r1_pipe is not None:
-        r1, pxr = m.r1_pipe, np.full(m.n_xr, 1.0 / m.n_xr)
-    else:
-        r1, pxr = channel_capacity(_state_compound_matrix(m.chan_rd, m.p_z), tol=tol)
+    r1, pxr = _relay_rate(m, tol)
     r2, px2 = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z), tol=tol)
     return LinkCapacities(r1=r1, r2=r2, argmax_pxr=Pmf(pxr), argmax_px2=Pmf(px2))
 
@@ -285,17 +265,17 @@ def reduce_to_mrcd(m: DiscreteOrcd) -> DiscreteOrcd:
     return dataclasses.replace(m, chan_sd=_trivial_channel(m.n_z))
 
 
-def _bsc_rows(delta: float) -> np.ndarray:
+def _bsc(delta: float) -> np.ndarray:
     return np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
 
 
-def embed_binary(m: BinaryMrcd) -> DiscreteOrcd:
-    """Discrete table form of the binary multihop channel Y_R = X1 + N + Z (mod 2)."""
-    k = _bsc_rows(m.delta)
-    chan_sr = np.empty((2, 2, 2))
-    for x in range(2):
-        for z in range(2):
-            chan_sr[x, z, :] = k[x ^ z, :]
+def _xor_state_channel(delta: float) -> np.ndarray:
+    """p(y | x, z) of Y = X + N + Z (mod 2), N ~ Bernoulli(delta), as [x, z, y]."""
+    bits = np.arange(2)
+    return _bsc(delta)[bits[:, None] ^ bits[None, :]]
+
+
+def _bit_pipe_model(m: _BitPipeMrcd, chan_sr: np.ndarray) -> DiscreteOrcd:
     return DiscreteOrcd(
         p_z=Pmf([1.0 - m.p_z, m.p_z]),
         chan_sr=chan_sr,
@@ -303,6 +283,11 @@ def embed_binary(m: BinaryMrcd) -> DiscreteOrcd:
         chan_sd=_trivial_channel(2),
         r1_pipe=m.r1,
     )
+
+
+def embed_binary(m: BinaryMrcd) -> DiscreteOrcd:
+    """Discrete table form of the binary multihop channel Y_R = X1 + N + Z (mod 2)."""
+    return _bit_pipe_model(m, _xor_state_channel(m.delta))
 
 
 def embed_parallel_binary(m: ParallelBinaryMrcd) -> DiscreteOrcd:
@@ -311,34 +296,25 @@ def embed_parallel_binary(m: ParallelBinaryMrcd) -> DiscreteOrcd:
     The 4-ary input/output alphabets index the bit pairs (first link, second
     link) as ``2*b1 + b2``; only the first link sees the state.
     """
-    k = _bsc_rows(m.delta)
-    chan_sr = np.empty((4, 2, 4))
-    for b1 in range(2):
-        for b2 in range(2):
-            for z in range(2):
-                for c1 in range(2):
-                    for c2 in range(2):
-                        chan_sr[2 * b1 + b2, z, 2 * c1 + c2] = k[b1 ^ z, c1] * k[b2, c2]
-    return DiscreteOrcd(
-        p_z=Pmf([1.0 - m.p_z, m.p_z]),
-        chan_sr=chan_sr,
-        chan_rd=_trivial_channel(2),
-        chan_sd=_trivial_channel(2),
-        r1_pipe=m.r1,
-    )
+    chan_sr = np.einsum("azc,bd->abzcd", _xor_state_channel(m.delta), _bsc(m.delta))
+    return _bit_pipe_model(m, chan_sr.reshape(4, 2, 4))
+
+
+_EMBEDDINGS = {
+    DiscreteOrcd: lambda m: m,
+    BinaryMrcd: embed_binary,
+    ParallelBinaryMrcd: embed_parallel_binary,
+}
 
 
 def as_discrete(model) -> DiscreteOrcd:
     """Embed a shorthand model into table form; identity on table models."""
-    if isinstance(model, DiscreteOrcd):
-        return model
-    if isinstance(model, BinaryMrcd):
-        return embed_binary(model)
-    if isinstance(model, ParallelBinaryMrcd):
-        return embed_parallel_binary(model)
-    if isinstance(model, GaussianMrcd):
+    if type(model) is GaussianMrcd:
         raise UsageError("gaussian models are continuous and have no table form")
-    raise UsageError(f"unsupported model type {type(model).__name__}")
+    embed = _EMBEDDINGS.get(type(model))
+    if embed is None:
+        raise UsageError(f"unsupported model type {type(model).__name__}")
+    return embed(model)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +334,57 @@ def _number(d: dict, key: str) -> float:
     val = _require(d, key)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ValidationError(f"{key}: expected a number, got {val!r}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ValidationError(f"{key}: integer too large for a float") from None
+
+
+def _discrete_from_dict(d: dict) -> DiscreteOrcd:
+    alphabets = _require(d, "alphabets")
+    if not isinstance(alphabets, dict):
+        raise ValidationError("alphabets: expected an object")
+    sizes = {}
+    for key in _ALPHABET_KEYS:
+        val = _require(alphabets, key, path="alphabets.")
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            raise ValidationError(f"alphabets.{key}: expected a positive integer")
+        sizes[key] = val
+    p_z = _require(d, "p_z")
+    try:
+        pz = Pmf(np.asarray(p_z, dtype=float))
+    except (ValidationError, ValueError, TypeError, OverflowError) as e:
+        raise ValidationError(f"p_z: {e}") from None
+    if len(pz) != sizes["z"]:
+        raise ValidationError(f"p_z: length {len(pz)} != alphabets.z {sizes['z']}")
+    tables = {}
+    for name, (n_in, n_out) in {
+        "chan_sr": (sizes["x1"], sizes["yr"]),
+        "chan_rd": (sizes["xr"], sizes["y1"]),
+        "chan_sd": (sizes["x2"], sizes["y2"]),
+    }.items():
+        raw = _require(d, name)
+        try:
+            arr = np.asarray(raw, dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            raise ValidationError(f"{name}: expected a numeric 3-d array") from None
+        if arr.shape != (n_in, sizes["z"], n_out):
+            raise ValidationError(
+                f"{name}: shape {arr.shape} != ({n_in}, {sizes['z']}, {n_out})"
+            )
+        tables[name] = arr
+    r1_pipe = _number(d, "r1_pipe") if d.get("r1_pipe") is not None else None
+    return DiscreteOrcd(p_z=pz, r1_pipe=r1_pipe, **tables)
+
+
+# The JSON ``type`` name of each model family.
+_FAMILIES = {
+    "parallel_binary": ParallelBinaryMrcd,
+    "binary": BinaryMrcd,
+    "gaussian": GaussianMrcd,
+    "discrete_orcd": DiscreteOrcd,
+}
+_TYPE_NAMES = {family: name for name, family in _FAMILIES.items()}
 
 
 def model_from_dict(d: dict):
@@ -366,83 +392,31 @@ def model_from_dict(d: dict):
     if not isinstance(d, dict):
         raise ValidationError("model: expected a JSON object")
     kind = _require(d, "type")
-    if kind == "parallel_binary":
-        return ParallelBinaryMrcd(
-            delta=_number(d, "delta"), p_z=_number(d, "p_z"), r1=_number(d, "r1")
-        )
-    if kind == "binary":
-        return BinaryMrcd(
-            delta=_number(d, "delta"), p_z=_number(d, "p_z"), r1=_number(d, "r1")
-        )
-    if kind == "gaussian":
-        return GaussianMrcd(
-            power=_number(d, "power"), rho=_number(d, "rho"), r1=_number(d, "r1")
-        )
-    if kind == "discrete_orcd":
-        alphabets = _require(d, "alphabets")
-        if not isinstance(alphabets, dict):
-            raise ValidationError("alphabets: expected an object")
-        sizes = {}
-        for key in _ALPHABET_KEYS:
-            val = _require(alphabets, key, path="alphabets.")
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                raise ValidationError(f"alphabets.{key}: expected a positive integer")
-            sizes[key] = val
-        p_z = _require(d, "p_z")
-        try:
-            pz = Pmf(np.asarray(p_z, dtype=float))
-        except (ValidationError, ValueError, TypeError) as e:
-            raise ValidationError(f"p_z: {e}") from None
-        if len(pz) != sizes["z"]:
-            raise ValidationError(f"p_z: length {len(pz)} != alphabets.z {sizes['z']}")
-        tables = {}
-        for name, (n_in, n_out) in {
-            "chan_sr": (sizes["x1"], sizes["yr"]),
-            "chan_rd": (sizes["xr"], sizes["y1"]),
-            "chan_sd": (sizes["x2"], sizes["y2"]),
-        }.items():
-            raw = _require(d, name)
-            try:
-                arr = np.asarray(raw, dtype=float)
-            except (ValueError, TypeError):
-                raise ValidationError(f"{name}: expected a numeric 3-d array") from None
-            if arr.shape != (n_in, sizes["z"], n_out):
-                raise ValidationError(
-                    f"{name}: shape {arr.shape} != ({n_in}, {sizes['z']}, {n_out})"
-                )
-            tables[name] = arr
-        r1_pipe = d.get("r1_pipe")
-        if r1_pipe is not None:
-            if not isinstance(r1_pipe, (int, float)) or isinstance(r1_pipe, bool):
-                raise ValidationError("r1_pipe: expected a number")
-            r1_pipe = float(r1_pipe)
-        return DiscreteOrcd(p_z=pz, r1_pipe=r1_pipe, **tables)
-    raise ValidationError(f"type: unknown model type {kind!r}")
+    family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise ValidationError(f"type: unknown model type {kind!r}")
+    if family is DiscreteOrcd:
+        return _discrete_from_dict(d)
+    return family(**{f.name: _number(d, f.name) for f in dataclasses.fields(family)})
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, ParallelBinaryMrcd):
-        return {"type": "parallel_binary", "delta": model.delta, "p_z": model.p_z, "r1": model.r1}
-    if isinstance(model, BinaryMrcd):
-        return {"type": "binary", "delta": model.delta, "p_z": model.p_z, "r1": model.r1}
-    if isinstance(model, GaussianMrcd):
-        return {"type": "gaussian", "power": model.power, "rho": model.rho, "r1": model.r1}
-    if isinstance(model, DiscreteOrcd):
-        out = {
-            "type": "discrete_orcd",
-            "alphabets": {
-                "x1": model.n_x1, "x2": model.n_x2, "xr": model.n_xr,
-                "yr": model.n_yr, "y1": model.n_y1, "y2": model.n_y2, "z": model.n_z,
-            },
-            "p_z": model.p_z.probs.tolist(),
-            "chan_sr": model.chan_sr.tolist(),
-            "chan_rd": model.chan_rd.tolist(),
-            "chan_sd": model.chan_sd.tolist(),
-        }
-        if model.r1_pipe is not None:
-            out["r1_pipe"] = model.r1_pipe
-        return out
-    raise UsageError(f"unsupported model type {type(model).__name__}")
+    kind = _TYPE_NAMES.get(type(model))
+    if kind is None:
+        raise UsageError(f"unsupported model type {type(model).__name__}")
+    if type(model) is not DiscreteOrcd:
+        return {"type": kind, **dataclasses.asdict(model)}
+    out = {
+        "type": kind,
+        "alphabets": {key: getattr(model, f"n_{key}") for key in _ALPHABET_KEYS},
+        "p_z": model.p_z.probs.tolist(),
+        "chan_sr": model.chan_sr.tolist(),
+        "chan_rd": model.chan_rd.tolist(),
+        "chan_sd": model.chan_sd.tolist(),
+    }
+    if model.r1_pipe is not None:
+        out["r1_pipe"] = model.r1_pipe
+    return out
 
 
 def load_model(path):
@@ -450,12 +424,17 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an integer too long to parse
             raise ValidationError(f"model file is not valid JSON: {e}") from None
     return model_from_dict(raw)
 
 
-def dump_model(model, path) -> None:
+def _write_json(payload, path) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def dump_model(model, path) -> None:
+    _write_json(model_to_dict(model), path)

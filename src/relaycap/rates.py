@@ -10,7 +10,6 @@ CSV export.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError, ValidationError
 from .info import binary_entropy, inv_binary_entropy, star
-from .models import BinaryMrcd, GaussianMrcd, ParallelBinaryMrcd
+from .models import BinaryMrcd, GaussianMrcd, ParallelBinaryMrcd, _write_json
 
 __all__ = [
     "SCHEMES",
@@ -339,9 +338,7 @@ class RateCurve:
                 for scheme, pts in self.points.items()
             },
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(payload, path)
 
 
 def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:

@@ -29,9 +29,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SolverError, UsageError, ValidationError
-from .info import JointPmf, PROB_TOL, _entropy_bits
+from .info import JointPmf, _conditional, _entropy_bits
 from .models import (
     DiscreteOrcd,
+    _relay_rate,
     _state_compound_matrix,
     channel_capacity,
     link_capacities,
@@ -74,27 +75,12 @@ class AuxiliaryScheme:
             raise ValidationError(
                 f"AuxiliaryScheme: joint_ux1 has {joint.dims[0]} rows, card_u={self.card_u}"
             )
-        t = np.asarray(self.test_channel, dtype=float)
-        if t.ndim != 3:
-            raise ValidationError(
-                "AuxiliaryScheme: test_channel must have shape (y_r, u, yhat)"
-            )
+        t = _conditional("AuxiliaryScheme: test_channel", self.test_channel, 3)
         if t.shape[1] != self.card_u or t.shape[2] != self.card_yhat:
             raise ValidationError(
                 f"AuxiliaryScheme: test_channel shape {t.shape} inconsistent with "
                 f"card_u={self.card_u}, card_yhat={self.card_yhat}"
             )
-        if not np.all(np.isfinite(t)) or float(t.min()) < -PROB_TOL:
-            raise ValidationError("AuxiliaryScheme: test_channel entries invalid")
-        t = np.clip(t, 0.0, None)
-        sums = t.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
-            r, u = map(int, np.argwhere(np.abs(sums - 1.0) > PROB_TOL)[0])
-            raise ValidationError(
-                f"AuxiliaryScheme: test_channel[{r}][{u}] sums to {sums[r, u]}"
-            )
-        t = t / sums[:, :, None]
-        t.flags.writeable = False
         object.__setattr__(self, "joint_ux1", joint)
         object.__setattr__(self, "test_channel", t)
 
@@ -603,10 +589,10 @@ def classify_cutset_tightness(m: DiscreteOrcd) -> set[str]:
         cases.add("case1")
     if float(sr_supported.max(axis=2).min()) >= 1.0 - tol:
         cases.add("case2")
-    caps = link_capacities(m)
+    r1, _ = _relay_rate(m)
     w_marginal = np.einsum("xzr,z->xr", m.chan_sr, m.p_z.probs)
     c_marginal, _ = channel_capacity(w_marginal)
-    if c_marginal >= caps.r1 - tol:
+    if c_marginal >= r1 - tol:
         cases.add("case3")
     _, p_bar = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z))
     p_yr_given_z = np.einsum("x,xzr->zr", p_bar, m.chan_sr)
@@ -616,7 +602,7 @@ def classify_cutset_tightness(m: DiscreteOrcd) -> set[str]:
             for z in range(m.n_z)
         )
     )
-    if caps.r1 > h_bar - tol:
+    if r1 > h_bar - tol:
         cases.add("case4")
     return cases if cases else {"none"}
 

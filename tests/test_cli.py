@@ -74,6 +74,17 @@ class TestFigureCommands:
         assert main(["fig4", "--out", str(out), "--grid", "0:0.4:1"]) == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value, field",
+        [("fig4", "--pz", "2", "p_z"), ("fig6", "--power", "-1", "power"),
+         ("fig7", "--r1", "-1", "r1")],
+    )
+    def test_bad_model_flag(self, tmp_path, capsys, command, flag, value, field):
+        out = tmp_path / "fig.csv"
+        assert main([command, "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: must be")
+        assert not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "fig6.json"
         assert main(["fig6", "--out", str(out), "--format", "json"]) == 0

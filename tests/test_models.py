@@ -83,6 +83,8 @@ class TestChannelCapacity:
     def test_invalid_rows(self):
         with pytest.raises(ValidationError):
             channel_capacity(np.array([[0.5, 0.4], [0.5, 0.5]]))
+        with pytest.raises(ValidationError):
+            channel_capacity(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
 
 class TestLinkCapacities:
@@ -185,6 +187,13 @@ class TestEmbedParallelBinary:
         assert best <= c + 1e-9
         assert best >= c - 1e-3
 
+    def test_entries_are_products_of_the_two_links(self):
+        delta = 0.13
+        k = _bsc(delta)
+        m = embed_parallel_binary(ParallelBinaryMrcd(delta=delta, p_z=0.15, r1=1.2))
+        for b1, b2, z, c1, c2 in np.ndindex(2, 2, 2, 2, 2):
+            assert m.chan_sr[2 * b1 + b2, z, 2 * c1 + c2] == k[b1 ^ z, c1] * k[b2, c2]
+
     def test_conditional_capacity_matches_closed_form(self):
         for delta in (0.05, 0.2, 0.35):
             m = embed_parallel_binary(ParallelBinaryMrcd(delta=delta, p_z=0.15, r1=1.2))
@@ -195,6 +204,12 @@ class TestEmbedParallelBinary:
 
 
 class TestEmbedBinary:
+    def test_entries_are_the_state_shifted_bsc(self):
+        k = _bsc(0.13)
+        m = embed_binary(BinaryMrcd(delta=0.13, p_z=0.3, r1=0.5))
+        for x, z, y in np.ndindex(2, 2, 2):
+            assert m.chan_sr[x, z, y] == k[x ^ z, y]
+
     def test_slice_structure(self):
         m = embed_binary(BinaryMrcd(delta=0.1, p_z=0.3, r1=0.5))
         for x in range(2):
@@ -272,6 +287,16 @@ class TestModelFiles:
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            load_model(path)
+
+    def test_integer_too_large(self, tmp_path):
+        d = model_to_dict(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25))
+        d["r1"] = 10**400  # valid JSON, but no float holds it
+        with pytest.raises(ValidationError, match="r1"):
+            model_from_dict(d)
+        path = tmp_path / "long.json"
+        path.write_text('{"type": "binary", "delta": ' + "1" * 5000 + "}")
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_model(path)
 

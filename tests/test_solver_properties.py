@@ -26,10 +26,12 @@ def _pmf(draw, n: int) -> np.ndarray:
 
 
 @st.composite
-def bit_pipe_models(draw, smallest: int = 1) -> DiscreteOrcd:
-    n_x1 = draw(st.integers(smallest, 3))
-    n_yr = draw(st.integers(smallest, 3))
-    n_z = draw(st.integers(smallest, 3))
+def bit_pipe_models(draw) -> DiscreteOrcd:
+    """Alphabets of 2 or 3 letters: with a single x1 or y_r, U and Yhat carry
+    nothing, and relabelling a single letter changes nothing."""
+    n_x1 = draw(st.integers(2, 3))
+    n_yr = draw(st.integers(2, 3))
+    n_z = draw(st.integers(2, 3))
     chan_sr = np.array(
         [[_pmf(draw, n_yr) for _ in range(n_z)] for _ in range(n_x1)]
     )
@@ -46,9 +48,8 @@ def bit_pipe_models(draw, smallest: int = 1) -> DiscreteOrcd:
 @st.composite
 def relabelled_schemes(draw):
     """A model and a scheme on it, then both with the x1, y_r and z
-    alphabets relabelled by random permutations; size-1 alphabets have
-    nothing to relabel."""
-    m = draw(bit_pipe_models(smallest=2))
+    alphabets relabelled by random permutations."""
+    m = draw(bit_pipe_models())
     card_u = draw(st.integers(1, 3))
     card_yhat = draw(st.integers(1, min(3, card_u * m.n_yr + 1)))
     joint = _pmf(draw, card_u * m.n_x1).reshape(card_u, m.n_x1)
