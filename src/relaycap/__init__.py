@@ -40,7 +40,6 @@ from .models import (
     load_model,
     model_from_dict,
     model_to_dict,
-    reduce_to_mrcd,
 )
 from .rates import (
     RateCurve,

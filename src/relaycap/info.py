@@ -44,26 +44,13 @@ def _entropy_bits(table: np.ndarray) -> float:
     return float(-np.dot(flat, np.log2(np.maximum(flat, 1e-300))))
 
 
-def _as_prob_array(values, *, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValidationError(f"{name}: must contain at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name}: entries must be finite")
-    if float(arr.min()) < -PROB_TOL:
-        raise ValidationError(f"{name}: negative entry {arr.min()}")
-    if float(arr.max()) > 1.0 + PROB_TOL:
-        raise ValidationError(f"{name}: entry {arr.max()} exceeds 1")
-    return np.clip(arr, 0.0, None)
-
-
 def _conditional(name: str, table, ndim: int) -> np.ndarray:
     """Validate a conditional pmf table with ``ndim`` axes.
 
     Every slice along the last axis must be a pmf: finite entries, none below
     -``PROB_TOL``, summing to 1 within ``PROB_TOL``. Errors name the first bad
     slice by its leading indices, as ``name[i][j]``. Returns the table
-    renormalised exactly and frozen.
+    renormalised exactly and frozen. A pmf is the one-slice case, ``ndim=1``.
     """
     arr = np.asarray(table, dtype=float)
     if arr.ndim != ndim:
@@ -152,15 +139,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _as_prob_array(self.probs, name="Pmf")
-        if arr.ndim != 1:
-            raise ValidationError(f"Pmf: expected a vector, got shape {arr.shape}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"Pmf: mass {total} is not 1 within {PROB_TOL}")
-        arr = arr / total
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _conditional("Pmf", self.probs, 1))
 
     def __len__(self) -> int:
         return int(self.probs.size)
@@ -183,7 +162,7 @@ class JointPmf:
     dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        arr = _as_prob_array(self.table, name="JointPmf")
+        arr = np.asarray(self.table, dtype=float)
         if self.dims is not None:
             dims = tuple(int(d) for d in self.dims)
             if any(d < 1 for d in dims):
@@ -195,10 +174,8 @@ class JointPmf:
             arr = arr.reshape(dims)
         if arr.ndim < 1:
             raise ValidationError("JointPmf: table must have at least one axis")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"JointPmf: mass {total} is not 1 within {PROB_TOL}")
-        arr = arr / total
+        # a joint pmf is a one-slice conditional table
+        arr = _conditional("JointPmf", arr.ravel(), 1).reshape(arr.shape)
         if self.axis_labels is None:
             labels = tuple(f"axis{i}" for i in range(arr.ndim))
         else:
@@ -209,7 +186,6 @@ class JointPmf:
             )
         if len(set(labels)) != len(labels):
             raise ValidationError(f"JointPmf: duplicate axis labels {labels}")
-        arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "axis_labels", labels)
         object.__setattr__(self, "dims", tuple(arr.shape))

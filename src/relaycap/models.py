@@ -29,7 +29,6 @@ __all__ = [
     "LinkCapacities",
     "channel_capacity",
     "link_capacities",
-    "reduce_to_mrcd",
     "embed_parallel_binary",
     "embed_binary",
     "as_discrete",
@@ -254,15 +253,6 @@ def link_capacities(m: DiscreteOrcd, *, tol: float = 1e-9) -> LinkCapacities:
 
 def _trivial_channel(n_z: int) -> np.ndarray:
     return np.ones((1, n_z, 1))
-
-
-def reduce_to_mrcd(m: DiscreteOrcd) -> DiscreteOrcd:
-    """Remove the direct source-destination channel (single-letter alphabets).
-
-    The result carries zero bits on the direct link, so its r2 is exactly 0.
-    Idempotent.
-    """
-    return dataclasses.replace(m, chan_sd=_trivial_channel(m.n_z))
 
 
 def _bsc(delta: float) -> np.ndarray:

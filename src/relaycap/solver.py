@@ -11,8 +11,13 @@ decode layer p(u, x1) per restart (compress-only, decode-only, one per binary
 partition of X1, then seeded random draws) and, for a grid of multipliers s,
 maximises the Lagrangian R - s*C by alternating closed-form updates of the
 test channel and of p(u | x1): Blahut-Arimoto in its information-bottleneck
-form. The upper concave envelope of the resulting (C, R) points at R1 is
-realised by time sharing folded into U and re-evaluated exactly, so the
+form. Each multiplier iterates until its own Lagrangian stops gaining, so its
+result does not depend on which others share the batch. The chord of the
+upper concave envelope of the (C, R) points that wins at R1 is then refined:
+both endpoints are iterated again at the chord's slope and the new points
+join the pool, until the envelope at R1 stops rising (the beta-sweep of the
+information bottleneck, taken where it decides the rate). The envelope at R1
+is realised by time sharing folded into U and re-evaluated exactly, so the
 result is a certified lower bound on the capacity, deterministic for a fixed
 seed. ``brute_force_capacity`` is an independent coarse-grid oracle for tiny
 models, and ``cutset_discrete`` the matching upper bound. Restarts are
@@ -122,6 +127,10 @@ def _log2(t: np.ndarray) -> np.ndarray:
     return np.log2(np.maximum(t, 1e-300))
 
 
+# _log2 of an empty cell
+_LOG_ZERO = float(_log2(np.float64(0.0)))
+
+
 def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return -np.sum(t * _log2(t), axis=axes)
 
@@ -186,6 +195,13 @@ class _Expression:
         lhs = self.i_u + np.maximum(cmi_lhs, 0.0)
         return rate, lhs, (log_uzxh, log_uzh, h_q)
 
+    def rows(self, idx) -> "_Expression":
+        """The same expression for the batch rows ``idx`` only."""
+        sub = object.__new__(_Expression)
+        # every array but the model's base has the batch as its leading axis
+        vars(sub).update((k, v if k == "base" else v[idx]) for k, v in vars(self).items())
+        return sub
+
 
 def _scheme_terms(base: np.ndarray, s: AuxiliaryScheme) -> tuple[float, float]:
     """(rate without R2, constraint value) of one scheme, as a batch of one."""
@@ -237,17 +253,24 @@ _PRODUCT_CAP = 512
 
 # Multipliers s of the Lagrangian R - s*C, one batch row each: the slopes at
 # which the (C, R) trade-off is traced, evenly spaced in (0, 1). The envelope
-# between two neighbours is a chord; on the fair-state binary anchors this even
-# grid lands within 1.3e-3 bits of the capacity, where a logistic grid of the
-# same size, denser near 0 and 1, left 2.9e-3.
+# between two neighbours is a chord; on the fair-state binary anchors (r1 =
+# 0.25, delta = 0.1 / 0.25) this grid alone stops 1.8e-4 / 1.3e-3 bits below
+# the capacity, and refining the winning chord 2.9e-5 / 1.1e-5, with only the
+# two structured starts.
 _MULTIPLIERS = np.arange(1, 28) / 28.0
 
-# A q loop stops once a round raises no multiplier's Lagrangian by more than
-# _TOL bits, a restart once a whole round (p update and q loop) does not. The
-# cap bounds the q loop where the iteration crawls near a phase transition of
-# the test channel.
+# A row's q loop stops once a round raises its Lagrangian by no more than _TOL
+# bits, its ascent once a whole round (p update and q loop) does not. The cap
+# bounds the q loop where the iteration crawls near a phase transition of the
+# test channel.
 _TOL = 1e-6
 _Q_ROUNDS = 500
+
+# At most this many refinements of the winning chord. Each round's endpoints
+# stop at _TOL, so the envelope keeps rising by a shrinking step: at the
+# default fig4 solve (delta 0.1) by a factor of about 0.6 per round, to within
+# 1e-9 of its limit after 16 rounds.
+_REFINE_ROUNDS = 16
 
 # Weight of the uniform part of the initial test channel: the rest maps y_r
 # losslessly, and every output label starts with some mass so that none is
@@ -290,45 +313,64 @@ def _starts(n_x1: int, card_u: int, seed: int) -> Iterator[np.ndarray]:
         yield rng.dirichlet(np.ones(card_u * n_x1)).reshape(card_u, n_x1)
 
 
-def _v(ex: _Expression, post: tuple) -> np.ndarray:
-    """v[s, u, z x1, yhat] = (log p(x1 | yhat, u, z) + s log p(yhat | u, z)) / s."""
+def _v(ex: _Expression, post: tuple, s: np.ndarray) -> np.ndarray:
+    """v[b, u, z, x1, yhat] = (log p(x1 | yhat, u, z) + s log p(yhat | u, z)) / s."""
     log_uzxh, log_uzh, _ = post
     v = log_uzxh - log_uzh
-    v /= _MULTIPLIERS[:, None, None, None, None]
+    v /= s[:, None, None, None, None]
     v += log_uzh
     v -= ex.log_p_uz
-    return v.reshape(ex.p.shape[:3] + (-1,))
+    return v
 
 
-def _q_loop(ex: _Expression, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Update q until no multiplier gains more than _TOL.
+def _q_loop(ex: _Expression, q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Update each row's q until it gains no more than _TOL.
 
-    Returns the last q with its Lagrangian R - s*C and its ``terms``. With
-    p(u, x1) fixed, the q maximising the Lagrangian given the posteriors of
-    the previous q is closed form; this and ``_p_update`` are the
-    information-bottleneck form of Blahut-Arimoto. Each update maximises the
-    same function over one block, so none lowers any multiplier's Lagrangian.
-    Arrays carry the multiplier as their leading axis: q[s, u, y_r, yhat].
+    Row b carries multiplier s[b]: arrays have the batch as their leading
+    axis, q[b, u, y_r, yhat]. Returns the last q with its Lagrangian R - s*C
+    and its ``terms``. With p(u, x1) fixed, the q maximising the Lagrangian
+    given the posteriors of the previous q is closed form; this and
+    ``_p_update`` are the information-bottleneck form of Blahut-Arimoto.
+    Each update maximises the same function over one block, so none lowers
+    a row's Lagrangian. A round evaluates only the rows still gaining more
+    than _TOL, and a row that stops is written back in place: its result
+    does not depend on which other rows share the batch.
     """
-    terms = ex.terms(q)
-    value = terms[0] - _MULTIPLIERS * terms[1]
-    for _ in range(_Q_ROUNDS):
+    q = np.array(q)
+    rate, lhs, post = ex.terms(q)
+    value = rate - s * lhs
+    rows, sub, sub_post, sub_value = np.arange(s.size), ex, post, value
+    for k in range(1, _Q_ROUNDS + 1):
+        s_rows = s[rows]
+        v = _v(sub, sub_post, s_rows)
+        # a label without mass at (u, z) has no posterior there and must stay
+        # empty; with log 0 read as the log floor it would look like a perfect
+        # fit and, once |log p(x1 | ...)| / s passes the floor, draw every y_r
+        np.copyto(v, -1e300, where=sub_post[1] == _LOG_ZERO)
         # q(yhat | y_r, u) proportional to 2^(a / p(u, y_r)), with a the
         # p(u, z, x1, y_r)-weighted sum of v over (z, x1)
-        a = np.swapaxes(ex.p, 2, 3) @ _v(ex, terms[2])
-        a /= np.maximum(ex.p_ur, 1e-300)[..., None]
+        a = np.swapaxes(sub.p, 2, 3) @ v.reshape(sub.p.shape[:3] + (-1,))
+        a /= np.maximum(sub.p_ur, 1e-300)[..., None]
         a -= a.max(axis=3, keepdims=True)
-        q = np.exp2(a)
-        q /= q.sum(axis=3, keepdims=True)
-        terms = ex.terms(q)
-        new = terms[0] - _MULTIPLIERS * terms[1]
-        gain, value = np.max(new - value), new
-        if gain <= _TOL:
-            break
-    return q, value, terms
+        sub_q = np.exp2(a)
+        sub_q /= sub_q.sum(axis=3, keepdims=True)
+        r, c, sub_post = sub.terms(sub_q)
+        new = r - s_rows * c
+        moving = (new - sub_value > _TOL) & (k < _Q_ROUNDS)
+        if not moving.all():
+            done, at = ~moving, rows[~moving]
+            q[at], rate[at], lhs[at], value[at] = sub_q[done], r[done], c[done], new[done]
+            for full, part in zip(post, sub_post):
+                full[at] = part[done]
+            if not moving.any():
+                break
+            rows, sub = rows[moving], sub.rows(moving)
+            sub_post, new = tuple(t[moving] for t in sub_post), new[moving]
+        sub_value = new
+    return q, value, (rate, lhs, post)
 
 
-def _p_update(ex: _Expression, q: np.ndarray, post: tuple) -> np.ndarray:
+def _p_update(ex: _Expression, q: np.ndarray, post: tuple, s: np.ndarray) -> np.ndarray:
     """The p(u, x1) maximising the Lagrangian given q and its posteriors.
 
     p(x1) is held fixed and p(u | x1) is proportional to 2^g(u, x1), where g
@@ -337,10 +379,11 @@ def _p_update(ex: _Expression, q: np.ndarray, post: tuple) -> np.ndarray:
     plus s log p(u).
     """
     h_q = post[2]
-    n_s, n_u = q.shape[:2]
+    n_b, n_u = q.shape[:2]
     n_z, n_x, n_r = ex.base.shape
-    w = (_v(ex, post) @ np.swapaxes(q, 2, 3)).reshape(n_s, n_u, n_z, n_x, n_r)
-    s = _MULTIPLIERS[:, None, None]
+    v = _v(ex, post, s).reshape(ex.p.shape[:3] + (-1,))
+    w = (v @ np.swapaxes(q, 2, 3)).reshape(n_b, n_u, n_z, n_x, n_r)
+    s = s[:, None, None]
     log_u_r = _log2(ex.p_ur / np.maximum(ex.p_ur.sum(axis=1, keepdims=True), 1e-300))
     g = s * np.einsum("zxr,buzxr->bux", ex.base, w)
     g += np.einsum("xr,bur->bux", ex.base.sum(axis=0), (1.0 - s) * log_u_r + s * h_q)
@@ -351,6 +394,29 @@ def _p_update(ex: _Expression, q: np.ndarray, post: tuple) -> np.ndarray:
     w = np.where(support, np.exp2(g - g.max(axis=1, keepdims=True)), 0.0)
     p_x1 = ex.joint.sum(axis=1, keepdims=True)
     return p_x1 * w / w.sum(axis=1, keepdims=True)
+
+
+def _ascent(base: np.ndarray, joint: np.ndarray, q: np.ndarray, s: np.ndarray,
+            max_iters: int) -> tuple[np.ndarray, ...]:
+    """The Lagrangian ascent of each row from (joint[b], q[b]) at multiplier s[b].
+
+    A q loop, then up to ``max_iters`` rounds of a p(u, x1) update and a q
+    loop; a row stops after the first round that gains no more than _TOL.
+    Returns the final (joint, q, rate, lhs) of every row.
+    """
+    ex = _Expression(base, joint)
+    q, value, (rate, lhs, post) = _q_loop(ex, q, s)
+    joint = np.array(joint)
+    rows = np.arange(s.size)
+    for _ in range(max_iters):
+        ex = _Expression(base, _p_update(ex, q[rows], post, s[rows]))
+        q_rows, new, (r, c, post) = _q_loop(ex, q[rows], s[rows])
+        moving = new - value[rows] > _TOL
+        joint[rows], q[rows], value[rows], rate[rows], lhs[rows] = ex.joint, q_rows, new, r, c
+        if not moving.any():
+            break
+        rows, ex, post = rows[moving], ex.rows(moving), tuple(t[moving] for t in post)
+    return joint, q, rate, lhs
 
 
 def _feasible(lhs: float, r1: float, tol: float) -> bool:
@@ -377,14 +443,44 @@ def _fold(lam: float, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.
     return joint, test
 
 
+def _chord(group: list, r1: float, card_u: int) -> tuple | None:
+    """The best time sharing at r1 of two points of a group: (rate, lam, i, j).
+
+    Point i meets the pipe constraint, point j exceeds it and lam : 1 - lam
+    of them meets it with equality; their used rows of U must fit card_u.
+    None when no pair qualifies.
+    """
+    rate = np.array([pt[2] for pt in group])
+    lhs = np.array([pt[3] for pt in group])
+    used = (np.stack([pt[0] for pt in group]).sum(axis=2) > 0.0).sum(axis=1)
+    ok = ((lhs[:, None] <= r1) & (lhs[None, :] > r1)
+          & (used[:, None] + used[None, :] <= card_u))
+    if not ok.any():
+        return None
+    span = np.where(ok, lhs[None, :] - lhs[:, None], 1.0)
+    lam = np.where(ok, (lhs[None, :] - r1) / span, 0.0)
+    mixed = np.where(ok, lam * rate[:, None] + (1.0 - lam) * rate[None, :], -math.inf)
+    i, j = np.unravel_index(int(np.argmax(mixed)), mixed.shape)
+    return mixed[i, j], float(lam[i, j]), int(i), int(j)
+
+
+def _best_chord(groups: dict, r1: float, card_u: int) -> tuple | None:
+    """The best ``_chord`` over all groups, with its group appended."""
+    chords = [c + (g,) for g in groups.values() if (c := _chord(g, r1, card_u)) is not None]
+    return max(chords, key=lambda c: c[0], default=None)
+
+
 def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveReport:
     """Best feasible rate for the capacity expression.
 
     Every restart fixes a starting p(u, x1) and runs the Lagrangian
     Blahut-Arimoto iteration for each multiplier in a fixed grid. The (C, R)
     points it ends at, plus the lossless and the constant test channel on the
-    start, form a pool; the upper concave envelope of the pool at r1 is
-    realised by time sharing two points with the same p(x1), folded into U.
+    start, form a pool. The chord of the pool's upper concave envelope that
+    wins at r1 is refined by iterating from both its endpoints at its slope,
+    adding the results to the pool, for up to ``_REFINE_ROUNDS`` rounds while
+    the envelope at r1 rises. The envelope at r1 is realised by time sharing
+    two points with the same p(x1), folded into U.
     The returned scheme is re-evaluated exactly: the result is a certified
     lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
     """
@@ -419,38 +515,38 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     # pool of (joint, q[u, y_r, yhat], R, C) per p(x1) of the start
     groups: dict[bytes, list] = {}
     for start in itertools.islice(_starts(m.n_x1, card_u, cfg.seed), cfg.restarts):
-        ex = _Expression(base, np.broadcast_to(start, (n_s,) + start.shape))
-        q, value, terms = _q_loop(ex, np.broadcast_to(q_init, (n_s,) + q_init.shape))
-        for _ in range(cfg.max_iters):
-            ex = _Expression(base, _p_update(ex, q, terms[2]))
-            q, new, terms = _q_loop(ex, q)
-            gain, value = np.max(new - value), new
-            if gain <= _TOL:
-                break
+        joint, q, rate, lhs = _ascent(
+            base, np.broadcast_to(start, (n_s,) + start.shape),
+            np.broadcast_to(q_init, (n_s,) + q_init.shape), _MULTIPLIERS, cfg.max_iters)
         group = groups.setdefault(start.sum(axis=0).tobytes(), [])
         group += zip((start, start), fixed,
                      *_Expression(base, np.stack([start, start])).terms(fixed)[:2])
-        group += zip(ex.joint, q, *terms[:2])
+        group += zip(joint, q, rate, lhs)
 
-    # the best feasible point, then the best two-point mixture at r1
-    pool = [pt for group in groups.values() for pt in group]
-    single = max((pt for pt in pool if _feasible(pt[3], r1, cfg.feas_tol)),
-                 key=lambda pt: pt[2])
-    best, mix = single[2], None
-    for group in groups.values():
-        rate = np.array([pt[2] for pt in group])
-        lhs = np.array([pt[3] for pt in group])
-        used = np.array([int((pt[0].sum(axis=1) > 0.0).sum()) for pt in group])
-        ok = ((lhs[:, None] <= r1) & (lhs[None, :] > r1)
-              & (used[:, None] + used[None, :] <= card_u))
-        if not ok.any():
-            continue
-        span = np.where(ok, lhs[None, :] - lhs[:, None], 1.0)
-        lam = np.where(ok, (lhs[None, :] - r1) / span, 0.0)
-        mixed = np.where(ok, lam * rate[:, None] + (1.0 - lam) * rate[None, :], -math.inf)
-        i, j = np.unravel_index(int(np.argmax(mixed)), mixed.shape)
-        if mixed[i, j] > best:
-            best, mix = mixed[i, j], (float(lam[i, j]), group[i][:2], group[j][:2])
+    # refine the winning chord: ascend from both its endpoints at its slope
+    chord = _best_chord(groups, r1, card_u)
+    for _ in range(_REFINE_ROUNDS):
+        if chord is None:
+            break
+        value, _, i, j, group = chord
+        ends = (group[i], group[j])
+        slope = (ends[1][2] - ends[0][2]) / (ends[1][3] - ends[0][3])
+        if slope <= 0.0:
+            break
+        group += zip(*_ascent(base, np.stack([e[0] for e in ends]),
+                              np.stack([e[1] for e in ends]), np.full(2, slope),
+                              cfg.max_iters))
+        chord = _best_chord(groups, r1, card_u)
+        if chord[0] <= value:
+            break
+
+    # the best feasible point, or the best chord where it is better
+    single = max((pt for group in groups.values() for pt in group
+                  if _feasible(pt[3], r1, cfg.feas_tol)), key=lambda pt: pt[2])
+    mix = None
+    if chord is not None and chord[0] > single[2]:
+        _, lam, i, j, group = chord
+        mix = (lam, group[i][:2], group[j][:2])
 
     def certified(joint: np.ndarray, test: np.ndarray):
         scheme = AuxiliaryScheme(

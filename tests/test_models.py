@@ -21,7 +21,6 @@ from relaycap.models import (
     load_model,
     model_from_dict,
     model_to_dict,
-    reduce_to_mrcd,
 )
 
 ONE_MINUS_H2_011 = 0.5000840418354720
@@ -136,27 +135,6 @@ class TestLinkCapacities:
         caps = link_capacities(m)
         assert caps.r1 == 0.37
         assert caps.r2 == 0.0
-
-
-class TestReduceToMrcd:
-    def test_removes_direct_link(self):
-        m = DiscreteOrcd(
-            p_z=Pmf([0.5, 0.5]),
-            chan_sr=_state_free(_bsc(0.1)),
-            chan_rd=np.ones((1, 2, 1)),
-            chan_sd=_state_free(_bsc(0.11)),
-        )
-        red = reduce_to_mrcd(m)
-        assert red.n_x2 == red.n_y2 == 1
-        assert link_capacities(red).r2 == 0.0
-        np.testing.assert_array_equal(red.chan_sr, m.chan_sr)
-
-    def test_idempotent(self):
-        m = embed_binary(BinaryMrcd(delta=0.2, p_z=0.3, r1=0.5))
-        once = reduce_to_mrcd(m)
-        twice = reduce_to_mrcd(once)
-        np.testing.assert_array_equal(once.chan_sd, twice.chan_sd)
-        assert once.n_x2 == twice.n_x2 == 1
 
 
 class TestEmbedParallelBinary:

@@ -1,10 +1,12 @@
 """Tests for the capacity solver, brute-force oracle, and classifier."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from relaycap import solver
 from relaycap.errors import UsageError
 from relaycap.info import (
     JointPmf,
@@ -16,6 +18,7 @@ from relaycap.info import (
 )
 from relaycap.models import BinaryMrcd, DiscreteOrcd, ParallelBinaryMrcd, embed_binary, embed_parallel_binary
 from relaycap.rates import (
+    binary_capacity_pz_half,
     parallel_binary_cf,
     parallel_binary_cutset,
     parallel_binary_df,
@@ -214,6 +217,69 @@ class TestFig4CapacityPoint:
         rate, lhs = objective(m, rep.best_scheme)
         assert rate == pytest.approx(rep.best_rate, abs=1e-12)
         assert pm.r1 - lhs == pytest.approx(rep.constraint_slack, abs=1e-12)
+
+
+class TestChordGap:
+    # Refining the multiplier at r1 closes most of the chord gap the even
+    # multiplier grid leaves on the fair-state anchors (1.3e-3 bits at
+    # delta = 0.25 with the grid alone), with only the two structured starts.
+    @pytest.mark.parametrize("delta", [0.1, 0.25])
+    def test_fair_state_anchor_within_1e4(self, delta):
+        bm = BinaryMrcd(delta=delta, p_z=0.5, r1=0.25)
+        cap = binary_capacity_pz_half(bm).value
+        rate = solve_capacity(embed_binary(bm), SolveConfig(restarts=2, max_iters=0)).best_rate
+        assert cap - 1e-4 <= rate <= cap
+
+
+def _grid_rows(m: DiscreteOrcd, start_index: int):
+    """(expression, initial q) of one start's 27 multiplier rows, as a solve builds them."""
+    card_u = m.n_x1 + 3
+    card_yhat = card_u * m.n_yr + 1
+    start = next(itertools.islice(solver._starts(m.n_x1, card_u, 0), start_index, None))
+    n_s = solver._MULTIPLIERS.size
+    lossless = solver._deterministic_test(m.n_yr, card_u, card_yhat, lossless=True)
+    q0 = (1.0 - solver._Q_BLUR) * lossless + solver._Q_BLUR / card_yhat
+    ex = solver._Expression(solver._base(m), np.broadcast_to(start, (n_s,) + start.shape))
+    return ex, np.broadcast_to(q0, (n_s,) + q0.shape)
+
+
+class TestQLoop:
+    MODELS = {
+        "binary": lambda: _bin_model(0.1),
+        "fig4": lambda: embed_parallel_binary(ParallelBinaryMrcd(delta=0.1, p_z=0.15, r1=1.2)),
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("start_index", [0, 1, 2])
+    def test_rows_do_not_depend_on_the_batch(self, model, start_index):
+        ex, q0 = _grid_rows(self.MODELS[model](), start_index)
+        s = solver._MULTIPLIERS
+        q, value, (rate, lhs, post) = solver._q_loop(ex, q0, s)
+        for idx in ([0], [5, 17], [3, 4, 26], list(range(0, 27, 2))):
+            idx = np.array(idx)
+            sq, svalue, (srate, slhs, spost) = solver._q_loop(ex.rows(idx), q0[idx], s[idx])
+            np.testing.assert_array_equal(sq, q[idx])
+            np.testing.assert_array_equal(svalue, value[idx])
+            np.testing.assert_array_equal(srate, rate[idx])
+            np.testing.assert_array_equal(slhs, lhs[idx])
+            for part, full in zip(spost, post):
+                np.testing.assert_array_equal(part, full[idx])
+
+    def test_small_multiplier_never_lowers_the_lagrangian(self):
+        # each partition start at fig4 delta = 0.3, fitted at s = 1/28, then
+        # at smaller s; 4.2e-5 is the slope of the chord from the start that
+        # decodes the state-free bit to its lossless point. A label that lost
+        # all its mass must stay empty, or it reads as a perfect posterior
+        # and draws every y_r.
+        m = embed_parallel_binary(ParallelBinaryMrcd(delta=0.3, p_z=0.15, r1=1.2))
+        for start_index in range(2, 9):
+            ex, q0 = _grid_rows(m, start_index)
+            q, _, _ = solver._q_loop(ex.rows([0]), q0[:1], solver._MULTIPLIERS[:1])
+            for s in (1e-2, 1e-3, 4.2e-5, 1e-6):
+                s = np.array([s])
+                rate, lhs, _ = ex.rows([0]).terms(q)
+                _, value, _ = solver._q_loop(ex.rows([0]), q, s)
+                assert value[0] >= rate[0] - s[0] * lhs[0] - 1e-12
 
 
 class TestBruteForce:
