@@ -87,10 +87,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _write_curve(curve: RateCurve, out_path: str, fmt: str) -> None:
     if fmt == "csv":
         curve.to_csv(out_path)
-    elif fmt == "json":
+    else:  # argparse restricts --format to csv and json
         curve.to_json(out_path)
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
 
 
 def _cmd_fig(args: argparse.Namespace) -> int:

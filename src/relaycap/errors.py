@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "RelaycapError",
+    "DomainError",
+    "ValidationError",
+    "UsageError",
+    "SolverError",
+]
+
 
 class RelaycapError(Exception):
     """Base class for every error raised by this package."""

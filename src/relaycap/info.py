@@ -24,7 +24,6 @@ __all__ = [
     "binary_entropy",
     "inv_binary_entropy",
     "star",
-    "entropy",
     "mutual_information",
     "conditional_mutual_information",
 ]
@@ -152,26 +151,14 @@ class Pmf:
 class JointPmf:
     """A joint probability table over named axes.
 
-    ``table`` may be given as an nd-array or, together with ``dims``, as a
-    flat row-major vector. Labels default to ``axis0``, ``axis1``, ... and
-    must be unique.
+    Labels default to ``axis0``, ``axis1``, ... and must be unique.
     """
 
     table: np.ndarray
     axis_labels: tuple[str, ...] | None = None
-    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.table, dtype=float)
-        if self.dims is not None:
-            dims = tuple(int(d) for d in self.dims)
-            if any(d < 1 for d in dims):
-                raise ValidationError("JointPmf: axis sizes must be >= 1")
-            if int(np.prod(dims)) != arr.size:
-                raise ValidationError(
-                    f"JointPmf: product of dims {dims} != table length {arr.size}"
-                )
-            arr = arr.reshape(dims)
         if arr.ndim < 1:
             raise ValidationError("JointPmf: table must have at least one axis")
         # a joint pmf is a one-slice conditional table
@@ -188,9 +175,12 @@ class JointPmf:
             raise ValidationError(f"JointPmf: duplicate axis labels {labels}")
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "axis_labels", labels)
-        object.__setattr__(self, "dims", tuple(arr.shape))
 
-    def axis_index(self, axis: int | str) -> int:
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.table.shape
+
+    def _axis_index(self, axis: int | str) -> int:
         if isinstance(axis, str):
             try:
                 return self.axis_labels.index(axis)
@@ -206,18 +196,10 @@ class JointPmf:
     def _resolve(self, axes: Axes) -> tuple[int, ...]:
         if isinstance(axes, (int, str)):
             axes = (axes,)
-        idx = tuple(self.axis_index(a) for a in axes)
+        idx = tuple(self._axis_index(a) for a in axes)
         if len(set(idx)) != len(idx):
             raise UsageError(f"repeated axis in {axes!r}")
         return idx
-
-    def marginal(self, axes: Axes) -> "JointPmf":
-        """Marginal over the given axes (kept in their original order)."""
-        keep = sorted(self._resolve(axes))
-        drop = tuple(i for i in range(self.table.ndim) if i not in keep)
-        arr = self.table.sum(axis=drop) if drop else self.table
-        labels = tuple(self.axis_labels[i] for i in keep)
-        return JointPmf(arr, axis_labels=labels)
 
     def entropy(self, axes: Axes | None = None) -> float:
         """Joint entropy (bits) of the given axes; all axes when omitted."""
@@ -227,13 +209,6 @@ class JointPmf:
         drop = tuple(i for i in range(self.table.ndim) if i not in keep)
         arr = self.table.sum(axis=drop) if drop else self.table
         return _entropy_bits(arr)
-
-
-def entropy(p: "Pmf | Iterable[float]") -> float:
-    """Shannon entropy H(p) in bits; accepts a ``Pmf`` or raw probabilities."""
-    if not isinstance(p, Pmf):
-        p = Pmf(np.asarray(p, dtype=float))
-    return _entropy_bits(p.probs)
 
 
 def mutual_information(j: JointPmf, axes_a: Axes, axes_b: Axes) -> float:

@@ -72,10 +72,7 @@ class DiscreteOrcd:
         object.__setattr__(self, "chan_rd", _validate_channel("chan_rd", self.chan_rd, n_z))
         object.__setattr__(self, "chan_sd", _validate_channel("chan_sd", self.chan_sd, n_z))
         if self.r1_pipe is not None:
-            r1 = float(self.r1_pipe)
-            if not (np.isfinite(r1) and r1 >= 0.0):
-                raise ValidationError(f"r1_pipe: must be a finite rate >= 0, got {r1}")
-            object.__setattr__(self, "r1_pipe", r1)
+            object.__setattr__(self, "r1_pipe", _check_rate("r1_pipe", self.r1_pipe))
 
     @property
     def n_x1(self) -> int:
@@ -186,16 +183,20 @@ class LinkCapacities:
     argmax_px2: Pmf
 
 
-def channel_capacity(
-    w_yx: np.ndarray, *, tol: float = 1e-9, max_iters: int = 100_000
-) -> tuple[float, np.ndarray]:
+# Blahut-Arimoto stops once its duality gap is below _BA_GAP bits, which
+# certifies every capacity it returns to within that much; _BA_ITERS caps it.
+_BA_GAP = 1e-9
+_BA_ITERS = 100_000
+
+
+def channel_capacity(w_yx: np.ndarray) -> tuple[float, np.ndarray]:
     """Capacity (bits) of a discrete memoryless channel via Blahut-Arimoto.
 
     ``w_yx[x, y]`` holds p(y | x); rows must be pmfs. Starts from the uniform
     input and stops once the duality gap max_x D(W(.|x) || q) - I(p) drops
-    below ``tol`` bits, which sandwiches the returned value within ``tol`` of
-    the true capacity. Raises ``SolverError`` (carrying the last gap) if the
-    iteration cap is hit first.
+    below ``_BA_GAP`` bits, which sandwiches the returned value within
+    ``_BA_GAP`` of the true capacity. Raises ``SolverError`` (carrying the
+    last gap) if ``_BA_ITERS`` iterations do not get there.
     """
     w = _conditional("channel_capacity: w_yx", w_yx, 2)
     n_in = w.shape[0]
@@ -207,7 +208,7 @@ def channel_capacity(
     log_w = np.where(mask, np.log(np.where(mask, w, 1.0)), 0.0)
     p = np.full(n_in, 1.0 / n_in)
     gap = np.inf
-    for _ in range(max_iters):
+    for _ in range(_BA_ITERS):
         q = p @ w
         log_q = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), 0.0)
         # d[x] = D(W(.|x) || q) in nats; q > 0 wherever any w[x, y] > 0
@@ -215,12 +216,12 @@ def channel_capacity(
         i_lower = float(p @ d)
         i_upper = float(d.max())
         gap = (i_upper - i_lower) / ln2
-        if gap < tol:
+        if gap < _BA_GAP:
             return max(i_lower / ln2, 0.0), p
         p = p * np.exp(d - i_upper)
         p = p / p.sum()
     raise SolverError(
-        f"Blahut-Arimoto did not converge in {max_iters} iterations (gap {gap:.3e} bits)",
+        f"Blahut-Arimoto did not converge in {_BA_ITERS} iterations (gap {gap:.3e} bits)",
         gap=gap,
     )
 
@@ -231,14 +232,14 @@ def _state_compound_matrix(chan: np.ndarray, p_z: Pmf) -> np.ndarray:
     return (chan * p_z.probs[None, :, None]).reshape(n_in, n_z * n_out)
 
 
-def _relay_rate(m: DiscreteOrcd, tol: float = 1e-9) -> tuple[float, np.ndarray]:
+def _relay_rate(m: DiscreteOrcd) -> tuple[float, np.ndarray]:
     """max I(X_R; Y1 | Z) and its input pmf; a bit pipe short-circuits the link."""
     if m.r1_pipe is not None:
         return m.r1_pipe, np.full(m.n_xr, 1.0 / m.n_xr)
-    return channel_capacity(_state_compound_matrix(m.chan_rd, m.p_z), tol=tol)
+    return channel_capacity(_state_compound_matrix(m.chan_rd, m.p_z))
 
 
-def link_capacities(m: DiscreteOrcd, *, tol: float = 1e-9) -> LinkCapacities:
+def link_capacities(m: DiscreteOrcd) -> LinkCapacities:
     """max I(X_R; Y1 | Z) and max I(X2; Y2 | Z) over the input distributions.
 
     The input of each link is independent of the state, so the conditional
@@ -246,8 +247,8 @@ def link_capacities(m: DiscreteOrcd, *, tol: float = 1e-9) -> LinkCapacities:
     input -> (output, state), which Blahut-Arimoto maximises directly. A bit
     pipe short-circuits the relay-destination link.
     """
-    r1, pxr = _relay_rate(m, tol)
-    r2, px2 = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z), tol=tol)
+    r1, pxr = _relay_rate(m)
+    r2, px2 = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z))
     return LinkCapacities(r1=r1, r2=r2, argmax_pxr=Pmf(pxr), argmax_px2=Pmf(px2))
 
 

@@ -59,12 +59,8 @@ class RatePoint:
         value = float(self.value)
         if not np.isfinite(value) or value < -1e-12:
             raise ValidationError(f"RatePoint: rate must be >= 0, got {value}")
-        object.__setattr__(self, "value", max(value, 0.0))
+        object.__setattr__(self, "value", max(0.0, value))
         object.__setattr__(self, "meta", dict(self.meta))
-
-
-def _clamp(value: float) -> float:
-    return max(0.0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +70,7 @@ def _clamp(value: float) -> float:
 
 def parallel_binary_cutset(m: ParallelBinaryMrcd) -> RatePoint:
     """min{r1, 2(1 - h2(delta))}."""
-    return RatePoint("cutset", _clamp(min(m.r1, 2.0 * (1.0 - binary_entropy(m.delta)))))
+    return RatePoint("cutset", min(m.r1, 2.0 * (1.0 - binary_entropy(m.delta))))
 
 
 def parallel_binary_df(m: ParallelBinaryMrcd) -> RatePoint:
@@ -83,7 +79,7 @@ def parallel_binary_df(m: ParallelBinaryMrcd) -> RatePoint:
     The relay decodes both links; the state acts as extra noise on the first.
     """
     inner = 2.0 - binary_entropy(star(m.delta, m.p_z)) - binary_entropy(m.delta)
-    return RatePoint("df", _clamp(min(m.r1, inner)))
+    return RatePoint("df", min(m.r1, inner))
 
 
 def parallel_binary_cf(m: ParallelBinaryMrcd) -> RatePoint:
@@ -98,7 +94,7 @@ def parallel_binary_cf(m: ParallelBinaryMrcd) -> RatePoint:
     else:
         nu = inv_binary_entropy(1.0 - m.r1 / 2.0)
     value = 2.0 * (1.0 - binary_entropy(star(m.delta, nu)))
-    return RatePoint("cf", _clamp(value), meta={"nu": nu})
+    return RatePoint("cf", value, meta={"nu": nu})
 
 
 def parallel_binary_pdcf(m: ParallelBinaryMrcd) -> RatePoint:
@@ -112,7 +108,7 @@ def parallel_binary_pdcf(m: ParallelBinaryMrcd) -> RatePoint:
     arg = 2.0 - binary_entropy(m.delta) - m.r1
     q = 0.5 if arg > 1.0 else inv_binary_entropy(arg)
     inner = 2.0 - binary_entropy(m.delta) - binary_entropy(star(m.delta, q))
-    return RatePoint("pdcf", _clamp(min(m.r1, inner)), meta={"q": q})
+    return RatePoint("pdcf", min(m.r1, inner), meta={"q": q})
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +118,19 @@ def parallel_binary_pdcf(m: ParallelBinaryMrcd) -> RatePoint:
 
 def binary_cutset(m: BinaryMrcd) -> RatePoint:
     """min{r1, 1 - h2(delta)}."""
-    return RatePoint("cutset", _clamp(min(m.r1, 1.0 - binary_entropy(m.delta))))
+    return RatePoint("cutset", min(m.r1, 1.0 - binary_entropy(m.delta)))
 
 
 def binary_df(m: BinaryMrcd) -> RatePoint:
     """min{r1, 1 - h2(delta * p_z)}."""
-    return RatePoint("df", _clamp(min(m.r1, 1.0 - binary_entropy(star(m.delta, m.p_z)))))
+    return RatePoint("df", min(m.r1, 1.0 - binary_entropy(star(m.delta, m.p_z))))
 
 
 def binary_cf(m: BinaryMrcd) -> RatePoint:
     """1 - h2(delta * h2^{-1}(1 - r1)), via the test channel Y_R + Ber(nu)."""
     nu = inv_binary_entropy(1.0 - m.r1)
     value = 1.0 - binary_entropy(star(m.delta, nu))
-    return RatePoint("cf", _clamp(value), meta={"nu": nu})
+    return RatePoint("cf", value, meta={"nu": nu})
 
 
 def binary_pdcf(m: BinaryMrcd) -> RatePoint:
@@ -190,18 +186,26 @@ def g_alpha(alpha: float, delta: float, r1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _four_to(r1: float) -> float:
+    """2^{2 r1}, or inf where that overflows a float (r1 >= 512)."""
+    try:
+        return 2.0 ** (2.0 * r1)
+    except OverflowError:
+        return math.inf
+
+
 def gaussian_cutset(m: GaussianMrcd) -> RatePoint:
     """min{r1, 0.5 log2(1 + P / (1 - rho^2))}; the inner term diverges at |rho| = 1."""
     if m.rho * m.rho >= 1.0:
         inner = math.inf
     else:
         inner = 0.5 * math.log2(1.0 + m.power / (1.0 - m.rho * m.rho))
-    return RatePoint("cutset", _clamp(min(m.r1, inner)))
+    return RatePoint("cutset", min(m.r1, inner))
 
 
 def gaussian_df(m: GaussianMrcd) -> RatePoint:
     """min{r1, 0.5 log2(1 + P)}."""
-    return RatePoint("df", _clamp(min(m.r1, 0.5 * math.log2(1.0 + m.power))))
+    return RatePoint("df", min(m.r1, 0.5 * math.log2(1.0 + m.power)))
 
 
 def gaussian_cf(m: GaussianMrcd) -> RatePoint:
@@ -209,13 +213,17 @@ def gaussian_cf(m: GaussianMrcd) -> RatePoint:
 
     Wyner-Ziv compression of the relay observation with Gaussian test-channel
     noise; meta records the optimal noise variance sigma_q^2 (infinite when
-    the pipe carries nothing).
+    the pipe carries nothing). Where 2^{2 r1} overflows a float the rate is
+    its limit 0.5 log2((P + 1 - rho^2) / (1 - rho^2)), r1 itself at |rho| = 1.
     """
     p, rho2, r1 = m.power, m.rho * m.rho, m.r1
-    four_r1 = 2.0 ** (2.0 * r1)
-    value = r1 - 0.5 * math.log2((p + four_r1 * (1.0 - rho2)) / (p + 1.0 - rho2))
+    four_r1 = _four_to(r1)
+    if four_r1 < math.inf:
+        value = r1 - 0.5 * math.log2((p + four_r1 * (1.0 - rho2)) / (p + 1.0 - rho2))
+    else:
+        value = r1 if rho2 == 1.0 else 0.5 * math.log2((p + 1.0 - rho2) / (1.0 - rho2))
     sigma_q_sq = math.inf if r1 == 0.0 else (p + 1.0 - rho2) / (four_r1 - 1.0)
-    return RatePoint("cf", _clamp(value), meta={"sigma_q_sq": sigma_q_sq})
+    return RatePoint("cf", value, meta={"sigma_q_sq": sigma_q_sq})
 
 
 def gaussian_pdcf(m: GaussianMrcd) -> RatePoint:
@@ -244,18 +252,24 @@ def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
     defined where the induced compression-noise variance is nonnegative,
     i.e. 0 <= alpha <= min{(1 - 2^{-2 r1})(1 + 1/P), 1}. The sign of dG/dalpha
     is the sign of (P + 1 - 2^{2 r1} rho^2), so the maximiser is an endpoint.
+    Where 2^{2 r1} overflows a float, G is its limit as r1 grows.
     """
     alpha = float(alpha)
     p, rho2, r1 = m.power, m.rho * m.rho, m.r1
-    four_r1 = 2.0 ** (2.0 * r1)
+    four_r1 = _four_to(r1)
     hi = min((1.0 - 1.0 / four_r1) * (1.0 + 1.0 / p), 1.0)
     if not -1e-12 <= alpha <= hi + 1e-12:
         raise DomainError(f"gaussian_G: alpha must be in [0, {hi}], got {alpha}")
     abar = 1.0 - alpha
     num = four_r1 * (1.0 + p) * (1.0 - rho2 + abar * p)
     den = (1.0 - rho2) * four_r1 * (1.0 + abar * p) + abar * p * (1.0 + p)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        # both divided by 2^{2 r1}, for r1 near or past 512 where they overflow
+        num = (1.0 + p) * (1.0 - rho2 + abar * p)
+        den = (1.0 - rho2) * (1.0 + abar * p) + abar * p * (1.0 + p) / four_r1
     if den == 0.0:
-        # Only at rho^2 = 1 and alpha = 1, where the ratio tends to 2^{2 r1}.
+        # Only at rho^2 = 1, at alpha = 1 or with 2^{2 r1} infinite, where the
+        # ratio tends to 2^{2 r1}.
         return four_r1
     return num / den
 
@@ -310,14 +324,6 @@ class RateCurve:
                 )
         values.flags.writeable = False
         object.__setattr__(self, "param_values", values)
-
-    def schemes(self) -> tuple[str, ...]:
-        return tuple(self.points)
-
-    def values(self, scheme: str) -> np.ndarray:
-        if scheme not in self.points:
-            raise UsageError(f"no scheme {scheme!r} in this curve")
-        return np.array([pt.value for pt in self.points[scheme]])
 
     def to_csv(self, path) -> None:
         """Write one row per grid point, 12 significant digits, '.' decimals."""

@@ -29,13 +29,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
-from .errors import SolverError, UsageError, ValidationError
+from .errors import UsageError, ValidationError
 from .info import JointPmf, _conditional, _entropy_bits
 from .models import (
+    _BA_GAP,
     DiscreteOrcd,
     _relay_rate,
     _state_compound_matrix,
@@ -100,7 +101,7 @@ class SolveConfig:
     0 keeps each start's p(u, x1) and only fits the test channels.
     ``card_u``/``card_yhat`` default to the sufficient cardinality bounds
     |X1| + 3 and |U| |Y_R| + 1 and may only be reduced. ``feas_tol`` is the
-    slack allowed on the pipe constraint.
+    slack allowed on the pipe constraint, fixed for every solve.
     """
 
     restarts: int = 16
@@ -108,7 +109,7 @@ class SolveConfig:
     seed: int = 0
     card_u: int | None = None
     card_yhat: int | None = None
-    feas_tol: float = 1e-9
+    feas_tol: ClassVar[float] = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,16 +211,16 @@ def _scheme_terms(base: np.ndarray, s: AuxiliaryScheme) -> tuple[float, float]:
     return float(rate[0]), float(lhs[0])
 
 
+def _check_cards(m: DiscreteOrcd, card_u: int, card_yhat: int) -> None:
+    """The sufficient cardinality bounds |U| <= |X1| + 3, |Yhat| <= |U||Y_R| + 1."""
+    for name, card, bound in (("card_u", card_u, m.n_x1 + 3),
+                              ("card_yhat", card_yhat, card_u * m.n_yr + 1)):
+        if not 1 <= card <= bound:
+            raise UsageError(f"{name} must be in [1, {bound}], got {card}")
+
+
 def _check_scheme(m: DiscreteOrcd, s: AuxiliaryScheme) -> None:
-    if s.card_u > m.n_x1 + 3:
-        raise UsageError(
-            f"card_u={s.card_u} exceeds the sufficient bound |X1|+3={m.n_x1 + 3}"
-        )
-    if s.card_yhat > s.card_u * m.n_yr + 1:
-        raise UsageError(
-            f"card_yhat={s.card_yhat} exceeds the sufficient bound "
-            f"|U||Y_R|+1={s.card_u * m.n_yr + 1}"
-        )
+    _check_cards(m, s.card_u, s.card_yhat)
     if s.joint_ux1.dims[1] != m.n_x1:
         raise UsageError(
             f"joint_ux1 input axis has size {s.joint_ux1.dims[1]}, model has {m.n_x1}"
@@ -419,9 +420,9 @@ def _ascent(base: np.ndarray, joint: np.ndarray, q: np.ndarray, s: np.ndarray,
     return joint, q, rate, lhs
 
 
-def _feasible(lhs: float, r1: float, tol: float) -> bool:
+def _feasible(lhs: float, r1: float) -> bool:
     """The pipe constraint, up to the feasibility tolerance."""
-    return lhs <= r1 + tol
+    return lhs <= r1 + SolveConfig.feas_tol
 
 
 def _fold(lam: float, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray],
@@ -485,10 +486,9 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
     """
     cfg = cfg or SolveConfig()
-    if cfg.restarts < 1:
-        raise UsageError("solve_capacity: restarts must be >= 1")
-    if cfg.max_iters < 0:
-        raise UsageError("solve_capacity: max_iters must be >= 0")
+    for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
+        if getattr(cfg, name) < least:
+            raise UsageError(f"solve_capacity: {name} must be >= {least}")
     if m.n_x1 * m.n_yr * m.n_z > _PRODUCT_CAP:
         raise UsageError(
             f"model product |X1||Y_R||Z| = {m.n_x1 * m.n_yr * m.n_z} exceeds "
@@ -496,15 +496,10 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
         )
     card_u = cfg.card_u if cfg.card_u is not None else m.n_x1 + 3
     card_yhat = cfg.card_yhat if cfg.card_yhat is not None else card_u * m.n_yr + 1
-    if not 1 <= card_u <= m.n_x1 + 3:
-        raise UsageError(f"card_u must be in [1, {m.n_x1 + 3}], got {card_u}")
-    if not 1 <= card_yhat <= card_u * m.n_yr + 1:
-        raise UsageError(f"card_yhat must be in [1, {card_u * m.n_yr + 1}], got {card_yhat}")
+    _check_cards(m, card_u, card_yhat)
 
     caps = link_capacities(m)
     r1, r2 = caps.r1, caps.r2
-    if r1 < -cfg.feas_tol:
-        raise SolverError(f"no feasible scheme: negative link rate r1 = {r1}")
     base = _base(m)
     n_s = _MULTIPLIERS.size
     lossless = _deterministic_test(m.n_yr, card_u, card_yhat, lossless=True)
@@ -542,7 +537,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
 
     # the best feasible point, or the best chord where it is better
     single = max((pt for group in groups.values() for pt in group
-                  if _feasible(pt[3], r1, cfg.feas_tol)), key=lambda pt: pt[2])
+                  if _feasible(pt[3], r1)), key=lambda pt: pt[2])
     mix = None
     if chord is not None and chord[0] > single[2]:
         _, lam, i, j, group = chord
@@ -560,12 +555,12 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     scheme, rate, lhs = certified(single[0], single[1])
     if mix is not None:
         cand = certified(*_fold(*mix, card_u))
-        if _feasible(cand[2], r1, cfg.feas_tol) and cand[1] > rate:
+        if _feasible(cand[2], r1) and cand[1] > rate:
             scheme, rate, lhs = cand
     return SolveReport(
         best_rate=r2 + rate,
         best_scheme=scheme,
-        feasible=_feasible(lhs, r1, cfg.feas_tol),
+        feasible=_feasible(lhs, r1),
         constraint_slack=r1 - lhs,
         restarts_used=cfg.restarts,
         seed=cfg.seed,
@@ -598,7 +593,6 @@ def brute_force_capacity(
     *,
     card_u: int = 1,
     card_yhat: int = 2,
-    feas_tol: float = 1e-9,
 ) -> float:
     """Exhaustive simplex-grid search over small auxiliary schemes.
 
@@ -646,7 +640,7 @@ def brute_force_capacity(
                 r_i, u_i = divmod(idx, card_u)
                 test[:, u_i, r_i] = col
             rate, lhs, _ = ex.terms(test)
-            feasible = _feasible(lhs, r1, feas_tol)
+            feasible = _feasible(lhs, r1)
             if feasible.any():
                 best = max(best, float(rate[feasible].max()))
     return r2 + best
@@ -657,10 +651,10 @@ def brute_force_capacity(
 # ---------------------------------------------------------------------------
 
 
-def cutset_discrete(m: DiscreteOrcd, *, tol: float = 1e-9) -> float:
+def cutset_discrete(m: DiscreteOrcd) -> float:
     """R2 + min{R1, max_{p(x1)} I(X1; Y_R | Z)}."""
-    caps = link_capacities(m, tol=tol)
-    inner, _ = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z), tol=tol)
+    caps = link_capacities(m)
+    inner, _ = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z))
     return caps.r2 + min(caps.r1, inner)
 
 
@@ -675,9 +669,11 @@ def classify_cutset_tightness(m: DiscreteOrcd) -> set[str]:
     case4: the pipe rate exceeds the state-conditioned output entropy at the
            maximising input, so the observation ships losslessly.
 
-    Returns every case that holds at tolerance 1e-9, or {"none"}.
+    The capacities compared are Blahut-Arimoto's, certified to its duality
+    gap ``_BA_GAP``, so every case is tested at that tolerance. Returns every
+    case that holds, or {"none"}.
     """
-    tol = 1e-9
+    tol = _BA_GAP
     cases: set[str] = set()
     support = m.p_z.probs > tol  # zero-probability states cannot leak information
     sr_supported = m.chan_sr[:, support, :]

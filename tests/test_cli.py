@@ -85,6 +85,18 @@ class TestFigureCommands:
         assert capsys.readouterr().err.startswith(f"error: {field}: must be")
         assert not out.exists()
 
+    def test_fig6_pipe_rate_past_float_overflow(self, tmp_path):
+        # 2^{2 r1} overflows a float at r1 = 600: CF is its limit in r1
+        out = tmp_path / "fig6.csv"
+        assert main(["fig6", "--out", str(out), "--r1", "600"]) == 0
+        rows = [line.split(",") for line in out.read_text().split("\n")[1:-1]]
+        assert len(rows) == 201
+        for row in rows:
+            rho2 = float(row[0]) ** 2
+            limit = 600.0 if rho2 == 1.0 else 0.5 * np.log2((1.3 - rho2) / (1.0 - rho2))
+            assert row[3] == f"{limit:.12g}"
+        assert rows[-1][0] == "1"
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "fig6.json"
         assert main(["fig6", "--out", str(out), "--format", "json"]) == 0
@@ -169,6 +181,15 @@ class TestSolveCommand:
             for command in ("solve", "classify"):
                 assert main([command, "--model", str(model), "--out", str(out)]) == 2
                 assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("restarts", ["2", "4"])
+    def test_negative_seed(self, tmp_path, capsys, restarts):
+        model = _write_model(tmp_path, BIN_MODEL)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--model", str(model), "--out", str(out),
+                     "--seed", "-1", "--restarts", restarts]) == 2
+        assert capsys.readouterr().err == "error: solve_capacity: seed must be >= 0\n"
+        assert not out.exists()
 
     def test_missing_field_reports_path(self, tmp_path, capsys):
         model = _write_model(tmp_path, {"type": "binary", "p_z": 0.5, "r1": 0.25})

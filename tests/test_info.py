@@ -11,7 +11,6 @@ from relaycap.info import (
     Pmf,
     binary_entropy,
     conditional_mutual_information,
-    entropy,
     inv_binary_entropy,
     mutual_information,
     star,
@@ -125,40 +124,10 @@ class TestPmf:
             p.probs[0] = 0.9
 
 
-class TestEntropy:
-    def test_point_mass(self):
-        assert entropy(Pmf([1.0, 0.0])) == 0.0
-
-    def test_uniform(self):
-        assert entropy(Pmf([0.25, 0.25, 0.25, 0.25])) == pytest.approx(2.0, abs=1e-15)
-
-    def test_matches_binary_entropy(self):
-        assert entropy(Pmf([0.11, 0.89])) == pytest.approx(binary_entropy(0.11), abs=1e-12)
-
-    def test_invalid_pmf(self):
-        with pytest.raises(ValidationError):
-            entropy([0.2, 0.2])
-
-
 class TestJointPmf:
-    def test_flat_with_dims(self):
-        j = JointPmf([0.25] * 4, axis_labels=("A", "B"), dims=(2, 2))
-        assert j.dims == (2, 2)
-
-    def test_dims_product_mismatch(self):
-        with pytest.raises(ValidationError):
-            JointPmf([0.25] * 4, dims=(2, 3))
-
     def test_duplicate_labels(self):
         with pytest.raises(ValidationError):
             JointPmf(np.full((2, 2), 0.25), axis_labels=("A", "A"))
-
-    def test_marginal(self):
-        rng = np.random.default_rng(3)
-        j = JointPmf(rng.dirichlet(np.ones(8)).reshape(2, 2, 2), axis_labels=("A", "B", "C"))
-        m = j.marginal(("A", "C"))
-        np.testing.assert_allclose(m.table, j.table.sum(axis=1), atol=1e-15)
-        assert m.axis_labels == ("A", "C")
 
     def test_entropy_matches_loop_reference(self):
         rng = np.random.default_rng(4)

@@ -53,6 +53,10 @@ def _gauss(rho, power=0.3, r1=1.0):
     return GaussianMrcd(power=power, rho=rho, r1=r1)
 
 
+def _values(curve: RateCurve, scheme: str) -> np.ndarray:
+    return np.array([pt.value for pt in curve.points[scheme]])
+
+
 class TestRatePoint:
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
@@ -299,6 +303,17 @@ class TestGaussianRates:
         direct = 0.5 * math.log2(1.0 + p / (1.0 + sigma))
         assert got.value == pytest.approx(direct, abs=1e-12)
 
+    def test_cf_past_float_overflow(self):
+        # 2^{2 r1} overflows at r1 >= 512; the rate is its limit in r1, which
+        # the finite formula already reaches just below the overflow
+        for rho in (0.0, 0.5, 0.99):
+            limit = 0.5 * math.log2((1.3 - rho * rho) / (1.0 - rho * rho))
+            got = gaussian_cf(_gauss(rho, r1=600.0))
+            assert got.value == limit
+            assert got.meta["sigma_q_sq"] == 0.0
+            assert gaussian_cf(_gauss(rho, r1=511.9)).value == pytest.approx(limit, abs=1e-9)
+        assert gaussian_cf(_gauss(1.0, r1=600.0)).value == 600.0
+
     def test_pdcf_branches_follow_threshold(self):
         below = gaussian_pdcf(_gauss(RHO_STAR - 1e-3))
         above = gaussian_pdcf(_gauss(RHO_STAR + 1e-3))
@@ -348,6 +363,20 @@ class TestGaussianG:
             fd = (gaussian_G(alpha + h, m) - gaussian_G(alpha - h, m)) / (2 * h)
             indicator = m.power + 1.0 - 2.0 ** (2 * m.r1) * m.rho**2
             assert math.copysign(1.0, fd) == math.copysign(1.0, indicator)
+
+    def test_past_float_overflow(self):
+        # the limit as 2^{2 r1} grows, reached by the finite formula at r1 = 511.9
+        for rho in (0.0, 0.5, 0.99):
+            far, near = _gauss(rho, r1=600.0), _gauss(rho, r1=511.9)
+            for alpha in (0.0, 0.4, 1.0):
+                abar = 1.0 - alpha
+                limit = 1.3 * (1.0 - rho * rho + abar * 0.3) / (
+                    (1.0 - rho * rho) * (1.0 + abar * 0.3))
+                assert gaussian_G(alpha, far) == pytest.approx(limit, rel=1e-15)
+                assert gaussian_G(alpha, near) == pytest.approx(limit, rel=1e-12)
+            assert 0.5 * math.log2(gaussian_G(0.0, far)) == pytest.approx(
+                gaussian_cf(far).value, abs=1e-12)
+        assert gaussian_G(0.5, _gauss(1.0, r1=600.0)) == math.inf
 
     def test_domain(self):
         m = GaussianMrcd(power=0.3, rho=0.5, r1=0.2)
@@ -406,17 +435,17 @@ class TestSchemeOrdering:
 class TestSweep:
     def test_parallel_schemes(self):
         curve = sweep(_par(0.0), "delta", np.linspace(0.0, 0.5, 11))
-        assert curve.schemes() == ("cutset", "df", "cf", "pdcf")
-        assert len(curve.values("df")) == 11
+        assert tuple(curve.points) == ("cutset", "df", "cf", "pdcf")
+        assert len(_values(curve, "df")) == 11
 
     def test_binary_includes_capacity_at_fair_state(self):
         curve = sweep(_bin(0.0), "delta", np.linspace(0.0, 0.5, 5))
-        assert "capacity" in curve.schemes()
-        np.testing.assert_allclose(curve.values("capacity"), curve.values("cf"))
+        assert "capacity" in curve.points
+        np.testing.assert_allclose(_values(curve, "capacity"), _values(curve, "cf"))
 
     def test_binary_skips_capacity_otherwise(self):
         curve = sweep(BinaryMrcd(delta=0.0, p_z=0.3, r1=0.25), "delta", [0.0, 0.1])
-        assert "capacity" not in curve.schemes()
+        assert "capacity" not in curve.points
 
     def test_unknown_param(self):
         with pytest.raises(UsageError):
@@ -432,9 +461,9 @@ class TestSweep:
 
     def test_gaussian_family(self):
         curve = sweep(_gauss(0.0), "rho", np.linspace(0.0, 1.0, 7))
-        pd = curve.values("pdcf")
+        pd = _values(curve, "pdcf")
         np.testing.assert_allclose(
-            pd, np.maximum(curve.values("df"), curve.values("cf")), atol=0
+            pd, np.maximum(_values(curve, "df"), _values(curve, "cf")), atol=0
         )
 
 
@@ -453,7 +482,7 @@ class TestRateCurveSerialization:
         row = dict(zip(header, map(float, lines[3].split(","))))
         idx = 2
         assert row["param"] == pytest.approx(curve.param_values[idx], abs=1e-12)
-        assert row["cf"] == pytest.approx(curve.values("cf")[idx], rel=1e-11)
+        assert row["cf"] == pytest.approx(_values(curve, "cf")[idx], rel=1e-11)
 
     def test_csv_significant_digits(self, tmp_path):
         curve = self._curve()
@@ -471,7 +500,7 @@ class TestRateCurveSerialization:
         assert payload["param_name"] == "delta"
         assert len(payload["param_values"]) == 6
         got = [pt["value"] for pt in payload["points"]["pdcf"]]
-        np.testing.assert_allclose(got, curve.values("pdcf"), atol=0)
+        np.testing.assert_allclose(got, _values(curve, "pdcf"), atol=0)
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ValidationError):

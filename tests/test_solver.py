@@ -193,6 +193,12 @@ class TestSolveCapacity:
         with pytest.raises(UsageError):
             solve_capacity(m, SolveConfig(card_u=9))
 
+    @pytest.mark.parametrize("restarts", [2, 4])
+    def test_negative_seed_rejected(self, restarts):
+        # two restarts draw no seeded start; the seed is rejected all the same
+        with pytest.raises(UsageError, match="seed"):
+            solve_capacity(_bin_model(0.1), SolveConfig(restarts=restarts, seed=-1))
+
     def test_report_serialises(self):
         rep = solve_capacity(_bin_model(0.1), SolveConfig(restarts=2, max_iters=150))
         payload = json.loads(json.dumps(report_to_dict(rep)))
