@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from typing import NamedTuple
 
@@ -181,6 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value starting with "-" as a flag; a grid such as
+    # -0.9:0.9:41 (fig6 sweeps rho over [-1, 1]) is joined to its --grid
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--grid" and re.match(r"-[0-9.]", argv[i + 1]):
+            argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

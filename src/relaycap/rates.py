@@ -209,12 +209,14 @@ def gaussian_df(m: GaussianMrcd) -> RatePoint:
 
 
 def gaussian_cf(m: GaussianMrcd) -> RatePoint:
-    """r1 - 0.5 log2((P + 2^{2 r1}(1 - rho^2)) / (P + 1 - rho^2)).
+    """min{r1, r1 - 0.5 log2((P + 2^{2 r1}(1 - rho^2)) / (P + 1 - rho^2))}.
 
     Wyner-Ziv compression of the relay observation with Gaussian test-channel
     noise; meta records the optimal noise variance sigma_q^2 (infinite when
-    the pipe carries nothing). Where 2^{2 r1} overflows a float the rate is
-    its limit 0.5 log2((P + 1 - rho^2) / (1 - rho^2)), r1 itself at |rho| = 1.
+    the pipe carries nothing or 2^{2 r1} rounds to 1). The log term is never
+    negative but can round below 0, there and at |rho| = 1, hence the cap at
+    r1. Where 2^{2 r1} overflows a float the rate is its limit
+    0.5 log2((P + 1 - rho^2) / (1 - rho^2)), r1 itself at |rho| = 1.
     """
     p, rho2, r1 = m.power, m.rho * m.rho, m.r1
     four_r1 = _four_to(r1)
@@ -222,8 +224,8 @@ def gaussian_cf(m: GaussianMrcd) -> RatePoint:
         value = r1 - 0.5 * math.log2((p + four_r1 * (1.0 - rho2)) / (p + 1.0 - rho2))
     else:
         value = r1 if rho2 == 1.0 else 0.5 * math.log2((p + 1.0 - rho2) / (1.0 - rho2))
-    sigma_q_sq = math.inf if r1 == 0.0 else (p + 1.0 - rho2) / (four_r1 - 1.0)
-    return RatePoint("cf", value, meta={"sigma_q_sq": sigma_q_sq})
+    sigma_q_sq = math.inf if four_r1 == 1.0 else (p + 1.0 - rho2) / (four_r1 - 1.0)
+    return RatePoint("cf", min(r1, value), meta={"sigma_q_sq": sigma_q_sq})
 
 
 def gaussian_pdcf(m: GaussianMrcd) -> RatePoint:

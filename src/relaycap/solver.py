@@ -8,20 +8,19 @@ The capacity of a discrete model is the supremum of
 over joint pmfs factorising as p(u, x1) p(z) p(y_R | x1, z) p(yhat | y_R, u).
 The objective is not jointly concave. ``solve_capacity`` fixes a starting
 decode layer p(u, x1) per restart (compress-only, decode-only, one per binary
-partition of X1, then seeded random draws) and, for a grid of multipliers s,
-maximises the Lagrangian R - s*C by alternating closed-form updates of the
-test channel and of p(u | x1): Blahut-Arimoto in its information-bottleneck
-form. Each multiplier iterates until its own Lagrangian stops gaining, so its
-result does not depend on which others share the batch. The chord of the
-upper concave envelope of the (C, R) points that wins at R1 is then refined:
-both endpoints are iterated again at the chord's slope and the new points
-join the pool, until the envelope at R1 stops rising (the beta-sweep of the
-information bottleneck, taken where it decides the rate). The envelope at R1
-is realised by time sharing folded into U and re-evaluated exactly, so the
-result is a certified lower bound on the capacity, deterministic for a fixed
-seed. ``brute_force_capacity`` is an independent coarse-grid oracle for tiny
-models, and ``cutset_discrete`` the matching upper bound. Restarts are
-independent; model and config values are never mutated during a solve.
+partition of X1, then seeded random draws) and searches for the multiplier s
+at which the Lagrangian R - s*C decides the rate at R1: the slope of the chord
+of the upper concave envelope of the (C, R) points found so far that is active
+at R1, starting from the lossless and the constant test channel. From both
+endpoints of the chord it maximises the Lagrangian at that slope by
+alternating closed-form updates of the test channel and of p(u | x1) (the
+beta-sweep of the information bottleneck, in Blahut-Arimoto form), adds the
+two points to the pool and takes the new chord, until the chord stops rising.
+The envelope at R1 is realised by time sharing folded into U and re-evaluated
+exactly, so the result is a certified lower bound on the capacity,
+deterministic for a fixed seed. ``brute_force_capacity`` is an independent
+coarse-grid oracle for tiny models, and ``cutset_discrete`` the matching upper
+bound. Model and config values are never mutated during a solve.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ class SolveConfig:
 
     ``restarts`` is the number of starting decode layers p(u, x1) tried, in
     the order constant U, U = X1, each binary partition of X1, then seeded
-    Dirichlet draws. ``max_iters`` caps the p(u | x1) updates per restart;
-    0 keeps each start's p(u, x1) and only fits the test channels.
+    Dirichlet draws. ``max_iters`` caps the p(u | x1) updates of each
+    ascent; 0 keeps each start's p(u, x1) and only fits the test channels.
     ``card_u``/``card_yhat`` default to the sufficient cardinality bounds
     |X1| + 3 and |U| |Y_R| + 1 and may only be reduced. ``feas_tol`` is the
     slack allowed on the pipe constraint, fixed for every solve.
@@ -252,14 +251,6 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
 # Largest |X1| |Y_R| |Z| the solver accepts.
 _PRODUCT_CAP = 512
 
-# Multipliers s of the Lagrangian R - s*C, one batch row each: the slopes at
-# which the (C, R) trade-off is traced, evenly spaced in (0, 1). The envelope
-# between two neighbours is a chord; on the fair-state binary anchors (r1 =
-# 0.25, delta = 0.1 / 0.25) this grid alone stops 1.8e-4 / 1.3e-3 bits below
-# the capacity, and refining the winning chord 2.9e-5 / 1.1e-5, with only the
-# two structured starts.
-_MULTIPLIERS = np.arange(1, 28) / 28.0
-
 # A row's q loop stops once a round raises its Lagrangian by no more than _TOL
 # bits, its ascent once a whole round (p update and q loop) does not. The cap
 # bounds the q loop where the iteration crawls near a phase transition of the
@@ -267,16 +258,11 @@ _MULTIPLIERS = np.arange(1, 28) / 28.0
 _TOL = 1e-6
 _Q_ROUNDS = 500
 
-# At most this many refinements of the winning chord. Each round's endpoints
-# stop at _TOL, so the envelope keeps rising by a shrinking step: at the
-# default fig4 solve (delta 0.1) by a factor of about 0.6 per round, to within
-# 1e-9 of its limit after 16 rounds.
+# At most this many rounds of the chord search. Each round's endpoints stop at
+# _TOL, so a chord keeps rising by a shrinking step; on the fair-state binary
+# anchors (r1 = 0.25, delta = 0.1 / 0.25) the search ends within 1.3e-8 bits
+# of the capacity, from two restarts as from sixteen.
 _REFINE_ROUNDS = 16
-
-# Weight of the uniform part of the initial test channel: the rest maps y_r
-# losslessly, and every output label starts with some mass so that none is
-# frozen at zero.
-_Q_BLUR = 1e-2
 
 
 def _deterministic_test(n_yr: int, card_u: int, card_yhat: int, lossless: bool) -> np.ndarray:
@@ -444,16 +430,16 @@ def _fold(lam: float, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.
     return joint, test
 
 
-def _chord(group: list, r1: float, card_u: int) -> tuple | None:
-    """The best time sharing at r1 of two points of a group: (rate, lam, i, j).
+def _chord(pool: list, r1: float, card_u: float) -> tuple | None:
+    """The segment at r1 of the pool's upper concave envelope: (rate, lam, i, j).
 
     Point i meets the pipe constraint, point j exceeds it and lam : 1 - lam
     of them meets it with equality; their used rows of U must fit card_u.
     None when no pair qualifies.
     """
-    rate = np.array([pt[2] for pt in group])
-    lhs = np.array([pt[3] for pt in group])
-    used = (np.stack([pt[0] for pt in group]).sum(axis=2) > 0.0).sum(axis=1)
+    rate = np.array([pt[2] for pt in pool])
+    lhs = np.array([pt[3] for pt in pool])
+    used = (np.stack([pt[0] for pt in pool]).sum(axis=2) > 0.0).sum(axis=1)
     ok = ((lhs[:, None] <= r1) & (lhs[None, :] > r1)
           & (used[:, None] + used[None, :] <= card_u))
     if not ok.any():
@@ -465,23 +451,18 @@ def _chord(group: list, r1: float, card_u: int) -> tuple | None:
     return mixed[i, j], float(lam[i, j]), int(i), int(j)
 
 
-def _best_chord(groups: dict, r1: float, card_u: int) -> tuple | None:
-    """The best ``_chord`` over all groups, with its group appended."""
-    chords = [c + (g,) for g in groups.values() if (c := _chord(g, r1, card_u)) is not None]
-    return max(chords, key=lambda c: c[0], default=None)
-
-
 def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveReport:
     """Best feasible rate for the capacity expression.
 
-    Every restart fixes a starting p(u, x1) and runs the Lagrangian
-    Blahut-Arimoto iteration for each multiplier in a fixed grid. The (C, R)
-    points it ends at, plus the lossless and the constant test channel on the
-    start, form a pool. The chord of the pool's upper concave envelope that
-    wins at r1 is refined by iterating from both its endpoints at its slope,
-    adding the results to the pool, for up to ``_REFINE_ROUNDS`` rounds while
-    the envelope at r1 rises. The envelope at r1 is realised by time sharing
-    two points with the same p(x1), folded into U.
+    Every restart fixes a starting p(u, x1); its pool starts with the lossless
+    and the constant test channel on it, and so does the pool of each group of
+    restarts that share p(x1). Each pool is searched for the multiplier at r1:
+    its chord there (the segment of its upper concave envelope active at r1)
+    is a slope s, and the Lagrangian Blahut-Arimoto iteration at s from both
+    endpoints adds two points to the pool. All pools go through one batched
+    ascent per round, for up to ``_REFINE_ROUNDS`` rounds; a pool drops out
+    once its chord stops rising. The best chord of a group that fits card_u,
+    or the best feasible point, is realised by time sharing folded into U.
     The returned scheme is re-evaluated exactly: the result is a certified
     lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
     """
@@ -501,46 +482,55 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     caps = link_capacities(m)
     r1, r2 = caps.r1, caps.r2
     base = _base(m)
-    n_s = _MULTIPLIERS.size
-    lossless = _deterministic_test(m.n_yr, card_u, card_yhat, lossless=True)
-    constant = _deterministic_test(m.n_yr, card_u, card_yhat, lossless=False)
-    q_init = (1.0 - _Q_BLUR) * lossless + _Q_BLUR / card_yhat
-    fixed = np.stack([lossless, constant])
+    fixed = np.stack([_deterministic_test(m.n_yr, card_u, card_yhat, lossless)
+                      for lossless in (True, False)])
 
-    # pool of (joint, q[u, y_r, yhat], R, C) per p(x1) of the start
+    # pools of (joint, q[u, y_r, yhat], R, C): one per start, one per p(x1)
     groups: dict[bytes, list] = {}
+    searches = []  # (pool searched, the pools its new points join)
     for start in itertools.islice(_starts(m.n_x1, card_u, cfg.seed), cfg.restarts):
-        joint, q, rate, lhs = _ascent(
-            base, np.broadcast_to(start, (n_s,) + start.shape),
-            np.broadcast_to(q_init, (n_s,) + q_init.shape), _MULTIPLIERS, cfg.max_iters)
         group = groups.setdefault(start.sum(axis=0).tobytes(), [])
-        group += zip((start, start), fixed,
-                     *_Expression(base, np.stack([start, start])).terms(fixed)[:2])
-        group += zip(joint, q, rate, lhs)
+        pool = list(zip((start, start), fixed,
+                        *_Expression(base, np.stack([start, start])).terms(fixed)[:2]))
+        group += pool
+        searches.append((pool, (pool, group)))
+    # a group of one start would repeat that start's search
+    searches += [(group, (group,)) for group in groups.values() if len(group) > 2]
 
-    # refine the winning chord: ascend from both its endpoints at its slope
-    chord = _best_chord(groups, r1, card_u)
+    # each round ascends from both ends of every rising chord at its slope
+    best = [-math.inf] * len(searches)
     for _ in range(_REFINE_ROUNDS):
-        if chord is None:
+        rising = []
+        for k, (pool, _) in enumerate(searches):
+            chord = _chord(pool, r1, math.inf)
+            if chord is None or chord[0] <= best[k]:
+                continue
+            best[k] = chord[0]
+            ends = (pool[chord[2]], pool[chord[3]])
+            slope = (ends[1][2] - ends[0][2]) / (ends[1][3] - ends[0][3])
+            if slope > 0.0:
+                rising.append((k, ends, slope))
+        if not rising:
             break
-        value, _, i, j, group = chord
-        ends = (group[i], group[j])
-        slope = (ends[1][2] - ends[0][2]) / (ends[1][3] - ends[0][3])
-        if slope <= 0.0:
-            break
-        group += zip(*_ascent(base, np.stack([e[0] for e in ends]),
-                              np.stack([e[1] for e in ends]), np.full(2, slope),
-                              cfg.max_iters))
-        chord = _best_chord(groups, r1, card_u)
-        if chord[0] <= value:
-            break
+        # a point at the end of two chords of one slope is ascended once
+        rows = {(id(e), slope): e for _, ends, slope in rising for e in ends}
+        ascended = _ascent(base, np.stack([e[0] for e in rows.values()]),
+                           np.stack([e[1] for e in rows.values()]),
+                           np.array([slope for _, slope in rows]), cfg.max_iters)
+        points = dict(zip(rows, zip(*ascended)))
+        for k, ends, slope in rising:
+            for target in searches[k][1]:
+                target += [points[id(e), slope] for e in ends]
+    chord = max(((c, group) for group in groups.values()
+                 if (c := _chord(group, r1, card_u)) is not None),
+                key=lambda cg: cg[0][0], default=None)
 
     # the best feasible point, or the best chord where it is better
     single = max((pt for group in groups.values() for pt in group
                   if _feasible(pt[3], r1)), key=lambda pt: pt[2])
     mix = None
-    if chord is not None and chord[0] > single[2]:
-        _, lam, i, j, group = chord
+    if chord is not None and chord[0][0] > single[2]:
+        (_, lam, i, j), group = chord
         mix = (lam, group[i][:2], group[j][:2])
 
     def certified(joint: np.ndarray, test: np.ndarray):

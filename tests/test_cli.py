@@ -69,6 +69,24 @@ class TestFigureCommands:
         assert len(cols["param"]) == 11
         assert cols["param"][-1] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("command", ["fig6", "sweep"])
+    def test_negative_grid_start(self, tmp_path, command):
+        # rho ranges over [-1, 1]; the grid's leading minus must not read as a flag
+        argv = [command]
+        if command == "sweep":
+            model = {"type": "gaussian", "power": 0.3, "rho": 0.0, "r1": 1.0}
+            argv += ["--model", str(_write_model(tmp_path, model)), "--param", "rho"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--out", str(a), "--grid", "-0.9:0.9:41"]) == 0
+        assert main(argv + ["--out", str(b), "--grid=-0.9:0.9:41"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().split("\n")[1].startswith("-0.9,")
+
+    def test_grid_without_value(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig6", "--grid", "--out", str(tmp_path / "a.csv")])
+        assert exc.value.code == 2
+
     def test_bad_grid(self, tmp_path, capsys):
         out = tmp_path / "fig4.csv"
         assert main(["fig4", "--out", str(out), "--grid", "0:0.4:1"]) == 2

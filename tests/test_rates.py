@@ -303,6 +303,13 @@ class TestGaussianRates:
         direct = 0.5 * math.log2(1.0 + p / (1.0 + sigma))
         assert got.value == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("r1", [0.0, 1e-17, 1.0])
+    def test_cf_never_exceeds_the_pipe(self, r1):
+        # the log term can round below zero where 2^{2 r1} rounds to 1 (then
+        # (P + 1 - rho^2) / (2^{2 r1} - 1) has no finite value) and at |rho| = 1
+        for rho in np.linspace(0.0, 1.0, 201):
+            assert gaussian_cf(GaussianMrcd(power=0.3, rho=float(rho), r1=r1)).value <= r1
+
     def test_cf_past_float_overflow(self):
         # 2^{2 r1} overflows at r1 >= 512; the rate is its limit in r1, which
         # the finite formula already reaches just below the overflow
