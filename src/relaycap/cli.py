@@ -78,6 +78,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, steps = float(start_s), float(stop_s), int(steps_s)
     except ValueError:
         raise UsageError(f"--grid expects start:stop:steps, got {spec!r}") from None
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise UsageError(f"--grid needs a finite start and stop, got {spec!r}")
     if steps < 2:
         raise UsageError(f"--grid needs at least 2 steps, got {steps}")
     if not stop > start:

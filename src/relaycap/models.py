@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -175,55 +176,88 @@ class GaussianMrcd:
 
 @dataclass(frozen=True, eq=False)
 class LinkCapacities:
-    """Capacities of the orthogonal relay-destination / source-destination links."""
+    """Capacities of the orthogonal relay-destination / source-destination links.
+
+    ``evals_r1``/``evals_r2`` count the divergence evaluations Blahut-Arimoto
+    made on each link and ``gap_r1``/``gap_r2`` are its final duality gaps in
+    bits; a bit pipe and a single-input link report 0 and 0.0.
+    """
 
     r1: float
     r2: float
     argmax_pxr: Pmf
     argmax_px2: Pmf
+    evals_r1: int
+    gap_r1: float
+    evals_r2: int
+    gap_r2: float
 
 
 # Blahut-Arimoto stops once its duality gap is below _BA_GAP bits, which
-# certifies every capacity it returns to within that much; _BA_ITERS caps it.
+# certifies every capacity it returns to within that much; _BA_ITERS caps its
+# divergence evaluations, trial steps included. The over-relaxation factor
+# grows by _BA_GROW after every step that raises I(p); 1.5 took the fewest
+# evaluations of the factors 1.1 to 2 on seeded Dirichlet(0.5) channels.
 _BA_GAP = 1e-9
 _BA_ITERS = 100_000
+_BA_GROW = 1.5
 
 
-def channel_capacity(w_yx: np.ndarray) -> tuple[float, np.ndarray]:
+def channel_capacity(w_yx: np.ndarray) -> tuple[float, np.ndarray, int, float]:
     """Capacity (bits) of a discrete memoryless channel via Blahut-Arimoto.
 
-    ``w_yx[x, y]`` holds p(y | x); rows must be pmfs. Starts from the uniform
-    input and stops once the duality gap max_x D(W(.|x) || q) - I(p) drops
-    below ``_BA_GAP`` bits, which sandwiches the returned value within
-    ``_BA_GAP`` of the true capacity. Raises ``SolverError`` (carrying the
-    last gap) if ``_BA_ITERS`` iterations do not get there.
+    ``w_yx[x, y]`` holds p(y | x); rows must be pmfs. Returns the capacity,
+    the input pmf achieving it, the number of divergence evaluations made
+    and the final duality gap in bits. Starts from the uniform input and
+    stops once the gap max_x D(W(.|x) || q) - I(p) drops below ``_BA_GAP``
+    bits, which sandwiches the returned value within ``_BA_GAP`` of the
+    true capacity.
+
+    The step is over-relaxed, p <- p exp(mu (D - max D)) normalised: mu
+    grows while I(p) rises, and a trial step that lowers I(p) is dropped
+    for the plain step (mu = 1), which never lowers it. Raises
+    ``SolverError`` (carrying the last gap) if ``_BA_ITERS`` evaluations do
+    not get there.
     """
     w = _conditional("channel_capacity: w_yx", w_yx, 2)
     n_in = w.shape[0]
     if n_in == 1:
-        return 0.0, np.ones(1)
+        return 0.0, np.ones(1), 0, 0.0
 
-    ln2 = np.log(2.0)
+    ln2 = math.log(2.0)
     mask = w > 0.0
     log_w = np.where(mask, np.log(np.where(mask, w, 1.0)), 0.0)
-    p = np.full(n_in, 1.0 / n_in)
-    gap = np.inf
-    for _ in range(_BA_ITERS):
+
+    def divergences(p: np.ndarray) -> np.ndarray:
+        """d[x] = D(W(.|x) || pW) in nats; pW > 0 wherever any w[x, y] > 0."""
         q = p @ w
         log_q = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-        # d[x] = D(W(.|x) || q) in nats; q > 0 wherever any w[x, y] > 0
-        d = np.where(mask, w * (log_w - log_q[None, :]), 0.0).sum(axis=1)
+        return np.where(mask, w * (log_w - log_q[None, :]), 0.0).sum(axis=1)
+
+    p = np.full(n_in, 1.0 / n_in)
+    d = divergences(p)
+    evals, mu = 1, 1.0
+    while True:
         i_lower = float(p @ d)
         i_upper = float(d.max())
         gap = (i_upper - i_lower) / ln2
         if gap < _BA_GAP:
-            return max(i_lower / ln2, 0.0), p
-        p = p * np.exp(d - i_upper)
-        p = p / p.sum()
-    raise SolverError(
-        f"Blahut-Arimoto did not converge in {_BA_ITERS} iterations (gap {gap:.3e} bits)",
-        gap=gap,
-    )
+            return max(i_lower / ln2, 0.0), p, evals, gap
+        if evals >= _BA_ITERS:
+            raise SolverError(
+                f"Blahut-Arimoto did not converge in {_BA_ITERS} evaluations "
+                f"(gap {gap:.3e} bits)",
+                gap=gap,
+            )
+        trial = p * np.exp(mu * (d - i_upper))
+        trial /= trial.sum()
+        d_trial = divergences(trial)
+        evals += 1
+        if mu > 1.0 and float(trial @ d_trial) < i_lower:
+            mu = 1.0  # the next pass takes the plain step from p
+            continue
+        p, d = trial, d_trial
+        mu *= _BA_GROW
 
 
 def _state_compound_matrix(chan: np.ndarray, p_z: Pmf) -> np.ndarray:
@@ -232,10 +266,11 @@ def _state_compound_matrix(chan: np.ndarray, p_z: Pmf) -> np.ndarray:
     return (chan * p_z.probs[None, :, None]).reshape(n_in, n_z * n_out)
 
 
-def _relay_rate(m: DiscreteOrcd) -> tuple[float, np.ndarray]:
-    """max I(X_R; Y1 | Z) and its input pmf; a bit pipe short-circuits the link."""
+def _relay_rate(m: DiscreteOrcd) -> tuple[float, np.ndarray, int, float]:
+    """``channel_capacity`` of the relay-destination link, max I(X_R; Y1 | Z);
+    a bit pipe short-circuits it with no evaluation and gap 0."""
     if m.r1_pipe is not None:
-        return m.r1_pipe, np.full(m.n_xr, 1.0 / m.n_xr)
+        return m.r1_pipe, np.full(m.n_xr, 1.0 / m.n_xr), 0, 0.0
     return channel_capacity(_state_compound_matrix(m.chan_rd, m.p_z))
 
 
@@ -247,9 +282,11 @@ def link_capacities(m: DiscreteOrcd) -> LinkCapacities:
     input -> (output, state), which Blahut-Arimoto maximises directly. A bit
     pipe short-circuits the relay-destination link.
     """
-    r1, pxr = _relay_rate(m)
-    r2, px2 = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z))
-    return LinkCapacities(r1=r1, r2=r2, argmax_pxr=Pmf(pxr), argmax_px2=Pmf(px2))
+    r1, pxr, evals_r1, gap_r1 = _relay_rate(m)
+    r2, px2, evals_r2, gap_r2 = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z))
+    return LinkCapacities(r1=r1, r2=r2, argmax_pxr=Pmf(pxr), argmax_px2=Pmf(px2),
+                          evals_r1=evals_r1, gap_r1=gap_r1,
+                          evals_r2=evals_r2, gap_r2=gap_r2)
 
 
 def _trivial_channel(n_z: int) -> np.ndarray:

@@ -239,7 +239,7 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
     assembled five-axis joint table.
     """
     _check_scheme(m, s)
-    r2, _ = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z))
+    r2 = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z))[0]
     rate, lhs = _scheme_terms(_base(m), s)
     return r2 + rate, lhs
 
@@ -577,6 +577,10 @@ def _simplex_grid(parts: int, steps: int) -> Iterator[np.ndarray]:
         yield np.asarray(combo, dtype=float) / steps
 
 
+# Rows of one brute-force evaluation batch; bounds its memory at any grid size.
+_BRUTE_CHUNK = 4096
+
+
 def brute_force_capacity(
     m: DiscreteOrcd,
     resolution: float,
@@ -600,8 +604,8 @@ def brute_force_capacity(
     if not 1 <= card_yhat <= 3:
         raise UsageError(f"brute force caps card_yhat at 3, got {card_yhat}")
     resolution = float(resolution)
-    if resolution < 0.05:
-        raise UsageError(f"resolution must be >= 0.05, got {resolution}")
+    if not (math.isfinite(resolution) and resolution >= 0.05):
+        raise UsageError(f"resolution must be a finite number >= 0.05, got {resolution}")
     steps = max(1, round(1.0 / resolution))
 
     caps = link_capacities(m)
@@ -617,19 +621,21 @@ def brute_force_capacity(
             "coarsen the resolution or reduce the cardinalities"
         )
 
-    # one batch per prefix of the columns: the last column, (u, y_r) =
-    # (card_u - 1, |Y_R| - 1), takes every grid value at once
+    # every combination of the columns q(. | y_r, u), in batches of up to
+    # _BRUTE_CHUNK rows per decode layer: row k takes at column
+    # c = y_r card_u + u the grid value at digit c of k in base len(cols)
     base = _base(m)
     best = -math.inf
-    test = np.empty((len(cols), card_u, m.n_yr, card_yhat))
-    test[:, -1, -1] = cols
+    n_tests = len(cols) ** n_cols
     for joint in joints:
-        ex = _Expression(base, np.broadcast_to(joint, (len(cols),) + joint.shape))
-        for prefix in itertools.product(cols, repeat=n_cols - 1):
-            for idx, col in enumerate(prefix):
-                r_i, u_i = divmod(idx, card_u)
-                test[:, u_i, r_i] = col
-            rate, lhs, _ = ex.terms(test)
+        # the decode layer's terms, computed once and repeated on every row
+        layer = _Expression(base, joint[None])
+        for lo in range(0, n_tests, _BRUTE_CHUNK):
+            idx = np.arange(lo, min(lo + _BRUTE_CHUNK, n_tests))
+            combo = np.stack(np.unravel_index(idx, (len(cols),) * n_cols), axis=1)
+            test = cols[combo].reshape(len(idx), m.n_yr, card_u, card_yhat)
+            ex = layer.rows(np.zeros(len(idx), dtype=int))
+            rate, lhs, _ = ex.terms(np.ascontiguousarray(test.transpose(0, 2, 1, 3)))
             feasible = _feasible(lhs, r1)
             if feasible.any():
                 best = max(best, float(rate[feasible].max()))
@@ -644,7 +650,7 @@ def brute_force_capacity(
 def cutset_discrete(m: DiscreteOrcd) -> float:
     """R2 + min{R1, max_{p(x1)} I(X1; Y_R | Z)}."""
     caps = link_capacities(m)
-    inner, _ = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z))
+    inner = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z))[0]
     return caps.r2 + min(caps.r1, inner)
 
 
@@ -671,12 +677,12 @@ def classify_cutset_tightness(m: DiscreteOrcd) -> set[str]:
         cases.add("case1")
     if float(sr_supported.max(axis=2).min()) >= 1.0 - tol:
         cases.add("case2")
-    r1, _ = _relay_rate(m)
+    r1 = _relay_rate(m)[0]
     w_marginal = np.einsum("xzr,z->xr", m.chan_sr, m.p_z.probs)
-    c_marginal, _ = channel_capacity(w_marginal)
+    c_marginal = channel_capacity(w_marginal)[0]
     if c_marginal >= r1 - tol:
         cases.add("case3")
-    _, p_bar = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z))
+    p_bar = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z))[1]
     p_yr_given_z = np.einsum("x,xzr->zr", p_bar, m.chan_sr)
     h_bar = float(
         sum(

@@ -92,6 +92,13 @@ class TestFigureCommands:
         assert main(["fig4", "--out", str(out), "--grid", "0:0.4:1"]) == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:0.4:3", "nan:0.4:3"])
+    def test_non_finite_grid(self, tmp_path, capsys, recwarn, grid):
+        out = tmp_path / "fig7.csv"
+        assert main(["fig7", "--out", str(out), f"--grid={grid}"]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not recwarn.list and not out.exists()
+
     @pytest.mark.parametrize(
         "command, flag, value, field",
         [("fig4", "--pz", "2", "p_z"), ("fig6", "--power", "-1", "power"),
@@ -180,6 +187,17 @@ class TestSolveCommand:
         assert main(["solve", "--model", str(model), "--out", str(out),
                      "--restarts", "2", "--max-iters", "100"]) == 0
         assert json.loads(out.read_text())["best_rate"] == pytest.approx(0.0, abs=1e-6)
+
+    def test_relay_link_model(self, tmp_path):
+        # a relay-destination channel, not a bit pipe: r1 comes from Blahut-Arimoto
+        payload = model_to_dict(embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25)))
+        del payload["r1_pipe"]
+        payload["alphabets"].update(xr=2, y1=2)
+        payload["chan_rd"] = [[[0.9, 0.1]] * 2, [[0.1, 0.9]] * 2]
+        out = tmp_path / "report.json"
+        assert main(["solve", "--model", str(_write_model(tmp_path, payload)), "--out", str(out),
+                     "--restarts", "2", "--max-iters", "0"]) == 0
+        assert json.loads(out.read_text())["feasible"] is True
 
     def test_gaussian_model_rejected(self, tmp_path, capsys):
         model = _write_model(tmp_path, {"type": "gaussian", "power": 0.3, "rho": 0.5, "r1": 1.0})

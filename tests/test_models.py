@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from relaycap.errors import UsageError, ValidationError
-from relaycap.info import Pmf, binary_entropy
+from relaycap import models
+from relaycap.errors import SolverError, UsageError, ValidationError
+from relaycap.info import JointPmf, Pmf, binary_entropy, mutual_information
 from relaycap.models import (
+    _BA_GAP,
+    _BA_ITERS,
     BinaryMrcd,
     DiscreteOrcd,
     GaussianMrcd,
@@ -63,20 +66,21 @@ def _loop_mi_given_state(p_x: np.ndarray, chan: np.ndarray, p_z: np.ndarray) -> 
 
 class TestChannelCapacity:
     def test_noiseless_binary(self):
-        c, p = channel_capacity(_bsc(0.0))
+        c, p, _, _ = channel_capacity(_bsc(0.0))
         assert c == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-6)
 
     def test_useless_channel(self):
-        c, _ = channel_capacity(np.array([[0.4, 0.6], [0.4, 0.6]]))
+        c, _, _, _ = channel_capacity(np.array([[0.4, 0.6], [0.4, 0.6]]))
         assert c == pytest.approx(0.0, abs=1e-9)
 
     def test_single_input(self):
-        c, p = channel_capacity(np.array([[0.3, 0.7]]))
+        c, p, evals, gap = channel_capacity(np.array([[0.3, 0.7]]))
         assert c == 0.0 and p.tolist() == [1.0]
+        assert evals == 0 and gap == 0.0
 
     def test_bsc_closed_form(self):
-        c, _ = channel_capacity(_bsc(0.11))
+        c, _, _, _ = channel_capacity(_bsc(0.11))
         assert c == pytest.approx(ONE_MINUS_H2_011, abs=1e-9)
 
     def test_invalid_rows(self):
@@ -84,6 +88,54 @@ class TestChannelCapacity:
             channel_capacity(np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValidationError):
             channel_capacity(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
+    def test_weak_link_reports_its_work(self):
+        # two nearly coincident rows (C = 0.0073 bits): the plain step takes
+        # 1,066 evaluations to a 1e-9 gap
+        w = np.array([[0.5, 0.3, 0.2], [0.4, 0.36, 0.24]])
+        c, p, evals, gap = channel_capacity(w)
+        assert 0.0 <= gap < _BA_GAP
+        assert evals <= 60
+        assert c == pytest.approx(_mutual_information(p, w), abs=1e-9)
+
+    def test_evaluation_cap_raises_with_gap(self, monkeypatch):
+        monkeypatch.setattr(models, "_BA_ITERS", 5)
+        with pytest.raises(SolverError, match="5 evaluations") as exc:
+            channel_capacity(np.array([[0.5, 0.3, 0.2], [0.4, 0.36, 0.24]]))
+        assert exc.value.gap >= _BA_GAP
+
+
+def _dirichlet_channel(i: int) -> np.ndarray:
+    """Seeded channel i of the pinned set: 2-4 inputs, 2-6 outputs, Dirichlet(0.5) rows."""
+    rng = np.random.default_rng((2026, i))
+    n_in, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+    return rng.dirichlet(np.full(n_out, 0.5), size=n_in)
+
+
+def _mutual_information(p: np.ndarray, w: np.ndarray) -> float:
+    return mutual_information(JointPmf(p[:, None] * w, axis_labels=("X", "Y")), "X", "Y")
+
+
+class TestBlahutArimotoHeavyTail:
+    # Channels 0-99 plus channel 721, where one input has optimal mass 0 and
+    # its divergence sits 1.1e-5 bits below C. The plain step
+    # p <- p exp(D - max D) takes 101,158 evaluations on this set (57,045 on
+    # channel 721), median 122.
+    PINNED = (*range(100), 721)
+    PLAIN_MEDIAN = 122
+    EVALS_CEILING = 16_000
+
+    def test_pinned_set(self):
+        evals = []
+        for i in self.PINNED:
+            w = _dirichlet_channel(i)
+            c, p, n, gap = channel_capacity(w)
+            assert 0.0 <= gap < _BA_GAP, i
+            assert n < _BA_ITERS, i
+            assert c == pytest.approx(_mutual_information(p, w), abs=1e-9), i
+            evals.append(n)
+        assert sum(evals) <= self.EVALS_CEILING
+        assert np.median(evals) <= self.PLAIN_MEDIAN / 2
 
 
 class TestLinkCapacities:
@@ -135,6 +187,19 @@ class TestLinkCapacities:
         caps = link_capacities(m)
         assert caps.r1 == 0.37
         assert caps.r2 == 0.0
+        assert (caps.evals_r1, caps.gap_r1, caps.evals_r2, caps.gap_r2) == (0, 0.0, 0, 0.0)
+
+    def test_reports_blahut_arimoto_work(self):
+        m = DiscreteOrcd(
+            p_z=Pmf([0.5, 0.5]),
+            chan_sr=_state_free(_bsc(0.1)),
+            chan_rd=_state_free(_bsc(0.2)),
+            chan_sd=_state_free(np.array([[0.5, 0.3, 0.2], [0.4, 0.36, 0.24]])),
+        )
+        caps = link_capacities(m)
+        for evals, gap in ((caps.evals_r1, caps.gap_r1), (caps.evals_r2, caps.gap_r2)):
+            assert evals >= 1
+            assert 0.0 <= gap < _BA_GAP
 
 
 class TestEmbedParallelBinary:
@@ -152,7 +217,7 @@ class TestEmbedParallelBinary:
 
     def test_two_independent_links(self):
         m = embed_parallel_binary(ParallelBinaryMrcd(delta=0.11, p_z=0.15, r1=1.2))
-        c, _ = channel_capacity(
+        c, _, _, _ = channel_capacity(
             (m.chan_sr * m.p_z.probs[None, :, None]).reshape(4, -1)
         )
         assert c == pytest.approx(2.0 * ONE_MINUS_H2_011, abs=1e-6)
@@ -175,7 +240,7 @@ class TestEmbedParallelBinary:
     def test_conditional_capacity_matches_closed_form(self):
         for delta in (0.05, 0.2, 0.35):
             m = embed_parallel_binary(ParallelBinaryMrcd(delta=delta, p_z=0.15, r1=1.2))
-            c, _ = channel_capacity(
+            c, _, _, _ = channel_capacity(
                 (m.chan_sr * m.p_z.probs[None, :, None]).reshape(4, -1)
             )
             assert c == pytest.approx(2.0 * (1.0 - binary_entropy(delta)), abs=1e-6)

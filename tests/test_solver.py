@@ -317,6 +317,37 @@ class TestBruteForce:
         with pytest.raises(UsageError):
             brute_force_capacity(par, 0.1)  # |X1| = 4
 
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf")])
+    def test_non_finite_resolution(self, resolution):
+        with pytest.raises(UsageError, match="resolution"):
+            brute_force_capacity(_bin_model(0.1), resolution)
+
+    # card_u = 1 on a |Y_R| = 3 model gives a row three columns, card_u = 2 on
+    # the fair-state anchor interleaves (u, y_r); on both, a column written to
+    # the wrong (u, y_r) or repeated changes the best value. The reference
+    # evaluates every scheme of the grid through objective().
+    @pytest.mark.parametrize("card_u", [1, 2])
+    def test_matches_objective_enumeration(self, card_u):
+        m = _bin_model(0.1) if card_u == 2 else DiscreteOrcd(
+            p_z=Pmf([0.6, 0.4]),
+            chan_sr=np.random.default_rng(0).dirichlet(np.ones(3), size=(2, 2)),
+            chan_rd=np.ones((1, 2, 1)),
+            chan_sd=np.ones((1, 2, 1)),
+            r1_pipe=0.3,
+        )
+        quarters = [np.array(c) / 4.0 for c in itertools.product(range(5), repeat=2)
+                    if sum(c) == 4]
+        joints = [np.array(c).reshape(card_u, 2) / 4.0
+                  for c in itertools.product(range(5), repeat=2 * card_u) if sum(c) == 4]
+        tests = [np.array(columns).reshape(m.n_yr, card_u, 2)
+                 for columns in itertools.product(quarters, repeat=m.n_yr * card_u)]
+        best = -np.inf
+        for joint, test in itertools.product(joints, tests):
+            rate, lhs = objective(m, _scheme(joint, test, card_u, 2))
+            if lhs <= m.r1_pipe + SolveConfig.feas_tol:
+                best = max(best, rate)
+        assert brute_force_capacity(m, 0.25, card_u=card_u) == best
+
     def test_monotone_in_resolution(self):
         m = _bin_model(0.1)
         coarse = brute_force_capacity(m, 0.1)
