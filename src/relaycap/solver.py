@@ -195,6 +195,31 @@ class _Expression:
         lhs = self.i_u + np.maximum(cmi_lhs, 0.0)
         return rate, lhs, (log_uzxh, log_uzh, h_q)
 
+    def screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rate, lhs)[b, t] of every row b with every test channel q[t].
+
+        The values of ``terms`` by the chain rule, equal to them up to float
+        rounding. p(z, yhat | u, x1) = sum_r p(z) p(y_r | x1, z) q(yhat | y_r, u)
+        depends on the test channel alone, so H(U, Z, X1, Yhat) - H(U, X1)
+        = sum p(u, x1) H(Z, Yhat | u, x1) and sum p(u, y_r) H(q(. | y_r, u))
+        are matrix products; only H(U, Z, Yhat) takes the rows x tests table.
+        """
+        n_b, n_u, n_x = self.joint.shape
+        n_z, _, n_r = self.base.shape
+        n_t = q.shape[0]
+        k = (self.base.reshape(n_z * n_x, n_r) @ q).reshape(n_t, n_u, n_z, n_x, -1)
+        h_zh = _neg_xlogx(k, (2, 4)).reshape(n_t, -1)  # H(Z, Yhat | u, x1)
+        h_cond_x = self.joint.reshape(n_b, -1) @ h_zh.T
+        h_cond_r = self.p_ur.reshape(n_b, -1) @ _neg_xlogx(q, (3,)).reshape(n_t, -1).T
+        # p(u, z, yhat) = sum_x1 p(u, x1) p(z, yhat | u, x1), one u at a time
+        k = np.ascontiguousarray(k.transpose(1, 3, 2, 4, 0)).reshape(n_u, n_x, -1)
+        h_uzh = sum(_neg_xlogx((self.joint[:, u] @ k[u]).reshape(n_b, -1, n_t), (1,))
+                    for u in range(n_u))
+        h_u = _neg_xlogx(self.p_ur.sum(axis=2), (1,))[:, None]
+        rate = self.i_u[:, None] + np.maximum(h_uzh - h_u - h_cond_x, 0.0)
+        lhs = self.i_u[:, None] + np.maximum(h_uzh - self.h_uz[:, None] - h_cond_r, 0.0)
+        return rate, lhs
+
     def rows(self, idx) -> "_Expression":
         """The same expression for the batch rows ``idx`` only."""
         sub = object.__new__(_Expression)
@@ -430,18 +455,19 @@ def _fold(lam: float, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.
     return joint, test
 
 
-def _chord(pool: list, r1: float, card_u: float) -> tuple | None:
+def _chord(pool: list, r1: float, card_u: int | None = None) -> tuple | None:
     """The segment at r1 of the pool's upper concave envelope: (rate, lam, i, j).
 
     Point i meets the pipe constraint, point j exceeds it and lam : 1 - lam
-    of them meets it with equality; their used rows of U must fit card_u.
-    None when no pair qualifies.
+    of them meets it with equality; given ``card_u``, their used rows of U
+    must fit it. None when no pair qualifies.
     """
     rate = np.array([pt[2] for pt in pool])
     lhs = np.array([pt[3] for pt in pool])
-    used = (np.stack([pt[0] for pt in pool]).sum(axis=2) > 0.0).sum(axis=1)
-    ok = ((lhs[:, None] <= r1) & (lhs[None, :] > r1)
-          & (used[:, None] + used[None, :] <= card_u))
+    ok = (lhs[:, None] <= r1) & (lhs[None, :] > r1)
+    if card_u is not None:
+        used = (np.stack([pt[0] for pt in pool]).sum(axis=2) > 0.0).sum(axis=1)
+        ok &= used[:, None] + used[None, :] <= card_u
     if not ok.any():
         return None
     span = np.where(ok, lhs[None, :] - lhs[:, None], 1.0)
@@ -502,7 +528,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     for _ in range(_REFINE_ROUNDS):
         rising = []
         for k, (pool, _) in enumerate(searches):
-            chord = _chord(pool, r1, math.inf)
+            chord = _chord(pool, r1)
             if chord is None or chord[0] <= best[k]:
                 continue
             best[k] = chord[0]
@@ -577,8 +603,15 @@ def _simplex_grid(parts: int, steps: int) -> Iterator[np.ndarray]:
         yield np.asarray(combo, dtype=float) / steps
 
 
-# Rows of one brute-force evaluation batch; bounds its memory at any grid size.
-_BRUTE_CHUNK = 4096
+# Elements of the largest table of one brute-force chunk of test channels:
+# bounds its memory at any grid size, and 1 MB tables stay in cache.
+_BRUTE_ELEMENTS = 1 << 17
+
+# A grid point is evaluated exactly when its screened values leave it within
+# this many bits of feasibility and of the best rate known to be feasible.
+# The screen differs from ``terms`` by float rounding only, about 1e-15 bits
+# on entropies of a few bits: the margin is 1e5 times that.
+_SCREEN_MARGIN = 1e-9
 
 
 def brute_force_capacity(
@@ -596,6 +629,16 @@ def brute_force_capacity(
     shrinks through nested grids (e.g. 0.1 -> 0.05). Cardinalities are capped
     at |U| <= 3, |X1| <= 2, |Yhat| <= 3 and the resolution at >= 0.05 to keep
     the enumeration exact and affordable.
+
+    Every decode layer is scored against a chunk of test channels at once by
+    ``_Expression.screen``, which only picks the points that can decide the
+    result: a screened constraint value at most ``_SCREEN_MARGIN`` above the
+    threshold, and a screened rate at most the margin below the best rate
+    known feasible (found exactly, or screened more than the margin below the
+    threshold). The screen is within float rounding of the exact values, so
+    every other point is infeasible or beaten by a feasible one. The picked
+    points are evaluated exactly by ``_Expression.terms``, and the result is
+    the best feasible one: to the bit the value of evaluating every point.
     """
     if m.n_x1 > 2:
         raise UsageError(f"brute force caps |X1| at 2, model has {m.n_x1}")
@@ -612,7 +655,8 @@ def brute_force_capacity(
     r1, r2 = caps.r1, caps.r2
     n_cols = m.n_yr * card_u
 
-    joints = [j.reshape(card_u, m.n_x1) for j in _simplex_grid(card_u * m.n_x1, steps)]
+    joints = np.stack([j.reshape(card_u, m.n_x1)
+                       for j in _simplex_grid(card_u * m.n_x1, steps)])
     cols = np.array(list(_simplex_grid(card_yhat, steps)))
     combos = len(joints) * len(cols) ** n_cols
     if combos > 2_000_000:
@@ -621,21 +665,27 @@ def brute_force_capacity(
             "coarsen the resolution or reduce the cardinalities"
         )
 
-    # every combination of the columns q(. | y_r, u), in batches of up to
-    # _BRUTE_CHUNK rows per decode layer: row k takes at column
-    # c = y_r card_u + u the grid value at digit c of k in base len(cols)
-    base = _base(m)
-    best = -math.inf
+    # every combination of the columns q(. | y_r, u), in chunks of the test
+    # axis: test k takes at column c = y_r card_u + u the grid value at digit
+    # c of k in base len(cols)
+    layers = _Expression(_base(m), joints)
     n_tests = len(cols) ** n_cols
-    for joint in joints:
-        # the decode layer's terms, computed once and repeated on every row
-        layer = _Expression(base, joint[None])
-        for lo in range(0, n_tests, _BRUTE_CHUNK):
-            idx = np.arange(lo, min(lo + _BRUTE_CHUNK, n_tests))
-            combo = np.stack(np.unravel_index(idx, (len(cols),) * n_cols), axis=1)
-            test = cols[combo].reshape(len(idx), m.n_yr, card_u, card_yhat)
-            ex = layer.rows(np.zeros(len(idx), dtype=int))
-            rate, lhs, _ = ex.terms(np.ascontiguousarray(test.transpose(0, 2, 1, 3)))
+    chunk = max(1, _BRUTE_ELEMENTS // (len(joints) * card_u * m.n_z * m.n_x1 * card_yhat))
+    threshold = r1 + SolveConfig.feas_tol
+    # the best exact rate found feasible, the best screened one surely feasible
+    best = best_safe = -math.inf
+    for lo in range(0, n_tests, chunk):
+        idx = np.arange(lo, min(lo + chunk, n_tests))
+        combo = np.stack(np.unravel_index(idx, (len(cols),) * n_cols), axis=1)
+        test = np.ascontiguousarray(
+            cols[combo].reshape(len(idx), m.n_yr, card_u, card_yhat).transpose(0, 2, 1, 3))
+        rate, lhs = layers.screen(test)
+        safe = lhs < threshold - _SCREEN_MARGIN
+        best_safe = max(best_safe, float(rate.max(initial=-math.inf, where=safe)))
+        j, t = np.nonzero((lhs <= threshold + _SCREEN_MARGIN)
+                          & (rate >= max(best, best_safe) - _SCREEN_MARGIN))
+        if j.size:
+            rate, lhs, _ = layers.rows(j).terms(test[t])
             feasible = _feasible(lhs, r1)
             if feasible.any():
                 best = max(best, float(rate[feasible].max()))

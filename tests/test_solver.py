@@ -1,5 +1,6 @@
 """Tests for the capacity solver, brute-force oracle, and classifier."""
 
+import dataclasses
 import itertools
 import json
 
@@ -324,29 +325,70 @@ class TestBruteForce:
 
     # card_u = 1 on a |Y_R| = 3 model gives a row three columns, card_u = 2 on
     # the fair-state anchor interleaves (u, y_r); on both, a column written to
-    # the wrong (u, y_r) or repeated changes the best value. The reference
-    # evaluates every scheme of the grid through objective().
-    @pytest.mark.parametrize("card_u", [1, 2])
-    def test_matches_objective_enumeration(self, card_u):
-        m = _bin_model(0.1) if card_u == 2 else DiscreteOrcd(
+    # the wrong (u, y_r) or repeated changes the best value. card_u = 3 and
+    # |Yhat| = 3 widen the screen's tables. "threshold" moves the pipe rate to
+    # the constraint value of the best scheme at 0.3 minus feas_tol, so that
+    # the scheme sits on the feasibility threshold, inside the certificate's
+    # band. The reference evaluates every scheme of the grid through objective().
+    @pytest.mark.parametrize("model, resolution, card_u, card_yhat", [
+        pytest.param("yr3", 0.25, 1, 2, id="1"),
+        pytest.param("anchor", 0.25, 2, 2, id="2"),
+        pytest.param("anchor", 1.0, 3, 2, id="3"),
+        pytest.param("yr3", 0.5, 1, 3, id="1-yhat3"),
+        pytest.param("threshold", 0.25, 1, 2, id="1-threshold"),
+    ])
+    def test_matches_objective_enumeration(self, model, resolution, card_u, card_yhat):
+        m = _bin_model(0.1) if model == "anchor" else DiscreteOrcd(
             p_z=Pmf([0.6, 0.4]),
             chan_sr=np.random.default_rng(0).dirichlet(np.ones(3), size=(2, 2)),
             chan_rd=np.ones((1, 2, 1)),
             chan_sd=np.ones((1, 2, 1)),
             r1_pipe=0.3,
         )
-        quarters = [np.array(c) / 4.0 for c in itertools.product(range(5), repeat=2)
-                    if sum(c) == 4]
-        joints = [np.array(c).reshape(card_u, 2) / 4.0
-                  for c in itertools.product(range(5), repeat=2 * card_u) if sum(c) == 4]
-        tests = [np.array(columns).reshape(m.n_yr, card_u, 2)
-                 for columns in itertools.product(quarters, repeat=m.n_yr * card_u)]
-        best = -np.inf
-        for joint, test in itertools.product(joints, tests):
-            rate, lhs = objective(m, _scheme(joint, test, card_u, 2))
-            if lhs <= m.r1_pipe + SolveConfig.feas_tol:
-                best = max(best, rate)
-        assert brute_force_capacity(m, 0.25, card_u=card_u) == best
+        steps = round(1.0 / resolution)
+
+        def grid(parts):
+            return [np.array(c) / steps for c in itertools.product(range(steps + 1), repeat=parts)
+                    if sum(c) == steps]
+
+        joints = [g.reshape(card_u, 2) for g in grid(2 * card_u)]
+        tests = [np.array(columns).reshape(m.n_yr, card_u, card_yhat)
+                 for columns in itertools.product(grid(card_yhat), repeat=m.n_yr * card_u)]
+        schemes = [objective(m, _scheme(joint, test, card_u, card_yhat))
+                   for joint, test in itertools.product(joints, tests)]
+        if model == "threshold":
+            _, on = max((rate, lhs) for rate, lhs in schemes
+                        if lhs <= m.r1_pipe + SolveConfig.feas_tol)
+            m = dataclasses.replace(m, r1_pipe=on - SolveConfig.feas_tol)
+        best = max(rate for rate, lhs in schemes if lhs <= m.r1_pipe + SolveConfig.feas_tol)
+        assert brute_force_capacity(m, resolution, card_u=card_u, card_yhat=card_yhat) == best
+
+    def test_screen_agrees_with_terms(self):
+        # every grid point of a |Y_R| = 3, |Z| = 2 model at card_u = 2,
+        # card_yhat = 3: the chain-rule screen differs from terms() by float
+        # rounding only, far inside the margin that decides what is re-evaluated
+        rng = np.random.default_rng(3)
+        m = DiscreteOrcd(
+            p_z=Pmf(rng.dirichlet(np.ones(2))),
+            chan_sr=rng.dirichlet(np.ones(3), size=(2, 2)),
+            chan_rd=np.ones((1, 2, 1)),
+            chan_sd=np.ones((1, 2, 1)),
+            r1_pipe=0.3,
+        )
+        halves = [np.array(c) / 2.0 for c in itertools.product(range(3), repeat=3) if sum(c) == 2]
+        joints = np.stack([np.array(c).reshape(2, 2) / 2.0
+                           for c in itertools.product(range(3), repeat=4) if sum(c) == 2])
+        digits = np.array(list(itertools.product(range(len(halves)), repeat=6)))
+        tests = np.ascontiguousarray(
+            np.array(halves)[digits].reshape(-1, 3, 2, 3).transpose(0, 2, 1, 3))
+        ex = solver._Expression(solver._base(m), joints)
+        rate, lhs = ex.screen(tests)
+        worst = 0.0
+        for j in range(len(joints)):
+            exact_rate, exact_lhs, _ = ex.rows(np.full(len(tests), j)).terms(tests)
+            worst = max(worst, np.abs(rate[j] - exact_rate).max(), np.abs(lhs[j] - exact_lhs).max())
+        assert worst <= 1e-12
+        assert solver._SCREEN_MARGIN >= 1000.0 * worst
 
     def test_monotone_in_resolution(self):
         m = _bin_model(0.1)
