@@ -6,7 +6,7 @@ over the output alphabet. Multihop example families represent the
 relay-destination link as an ideal bit pipe of rate ``r1`` (a scalar, not a
 degenerate table), matching how those links behave: error-free at a fixed
 rate. Model values are immutable after construction and all operations here
-are pure.
+are pure; a discrete model computes each link capacity once, on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -57,6 +58,12 @@ class DiscreteOrcd:
     ``chan_sd`` is p(y2 | x2, z), all indexed ``[input, state, output]``.
     When ``r1_pipe`` is set, the relay-destination link is an ideal bit pipe
     of that rate and ``chan_rd`` is ignored by capacity computations.
+
+    ``relay_link``, ``direct_link`` and ``source_relay_link`` hold the
+    ``channel_capacity`` result of a link, (capacity, maximising input pmf,
+    evaluations, duality gap), computed on first read and kept on this
+    object with the pmf read-only. ``dataclasses.replace`` starts a new
+    object, which computes its own.
     """
 
     p_z: Pmf
@@ -102,6 +109,27 @@ class DiscreteOrcd:
     @property
     def n_z(self) -> int:
         return len(self.p_z)
+
+    @cached_property
+    def relay_link(self) -> tuple[float, np.ndarray, int, float]:
+        """Relay-destination link, max I(X_R; Y1 | Z); a bit pipe
+        short-circuits it with no evaluation and gap 0."""
+        if self.r1_pipe is not None:
+            pxr = np.full(self.n_xr, 1.0 / self.n_xr)
+            pxr.flags.writeable = False
+            return self.r1_pipe, pxr, 0, 0.0
+        return _compound_capacity(self.chan_rd, self.p_z)
+
+    @cached_property
+    def direct_link(self) -> tuple[float, np.ndarray, int, float]:
+        """Source-destination link, max I(X2; Y2 | Z)."""
+        return _compound_capacity(self.chan_sd, self.p_z)
+
+    @cached_property
+    def source_relay_link(self) -> tuple[float, np.ndarray, int, float]:
+        """Source-relay link with the state known at the destination,
+        max I(X1; Y_R | Z)."""
+        return _compound_capacity(self.chan_sr, self.p_z)
 
 
 def _check_unit_interval(name: str, value: float, lo: float, hi: float) -> float:
@@ -266,12 +294,12 @@ def _state_compound_matrix(chan: np.ndarray, p_z: Pmf) -> np.ndarray:
     return (chan * p_z.probs[None, :, None]).reshape(n_in, n_z * n_out)
 
 
-def _relay_rate(m: DiscreteOrcd) -> tuple[float, np.ndarray, int, float]:
-    """``channel_capacity`` of the relay-destination link, max I(X_R; Y1 | Z);
-    a bit pipe short-circuits it with no evaluation and gap 0."""
-    if m.r1_pipe is not None:
-        return m.r1_pipe, np.full(m.n_xr, 1.0 / m.n_xr), 0, 0.0
-    return channel_capacity(_state_compound_matrix(m.chan_rd, m.p_z))
+def _compound_capacity(chan: np.ndarray, p_z: Pmf) -> tuple[float, np.ndarray, int, float]:
+    """``channel_capacity`` of the compound channel input -> (state, output),
+    its input pmf read-only."""
+    c, p, evals, gap = channel_capacity(_state_compound_matrix(chan, p_z))
+    p.flags.writeable = False
+    return c, p, evals, gap
 
 
 def link_capacities(m: DiscreteOrcd) -> LinkCapacities:
@@ -280,10 +308,11 @@ def link_capacities(m: DiscreteOrcd) -> LinkCapacities:
     The input of each link is independent of the state, so the conditional
     mutual information equals the mutual information of the compound channel
     input -> (output, state), which Blahut-Arimoto maximises directly. A bit
-    pipe short-circuits the relay-destination link.
+    pipe short-circuits the relay-destination link. Both come from the
+    model's ``relay_link`` and ``direct_link``, computed once per model.
     """
-    r1, pxr, evals_r1, gap_r1 = _relay_rate(m)
-    r2, px2, evals_r2, gap_r2 = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z))
+    r1, pxr, evals_r1, gap_r1 = m.relay_link
+    r2, px2, evals_r2, gap_r2 = m.direct_link
     return LinkCapacities(r1=r1, r2=r2, argmax_pxr=Pmf(pxr), argmax_px2=Pmf(px2),
                           evals_r1=evals_r1, gap_r1=gap_r1,
                           evals_r2=evals_r2, gap_r2=gap_r2)

@@ -37,8 +37,6 @@ from .info import JointPmf, _conditional, _entropy_bits
 from .models import (
     _BA_GAP,
     DiscreteOrcd,
-    _relay_rate,
-    _state_compound_matrix,
     channel_capacity,
     link_capacities,
 )
@@ -260,11 +258,12 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
     """Rate and constraint value of one auxiliary scheme.
 
     Returns ``(R2 + I(U; Y_R) + I(X1; Yhat | U, Z),
-    I(U; Y_R) + I(Y_R; Yhat | U, Z))``, both computed exactly from the
-    assembled five-axis joint table.
+    I(U; Y_R) + I(Y_R; Yhat | U, Z))``. The information terms are computed
+    exactly by ``_Expression.terms`` on the scheme's one decode layer and
+    test channel, and R2 is the model's ``direct_link`` capacity.
     """
     _check_scheme(m, s)
-    r2 = channel_capacity(_state_compound_matrix(m.chan_sd, m.p_z))[0]
+    r2 = m.direct_link[0]
     rate, lhs = _scheme_terms(_base(m), s)
     return r2 + rate, lhs
 
@@ -699,9 +698,7 @@ def brute_force_capacity(
 
 def cutset_discrete(m: DiscreteOrcd) -> float:
     """R2 + min{R1, max_{p(x1)} I(X1; Y_R | Z)}."""
-    caps = link_capacities(m)
-    inner = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z))[0]
-    return caps.r2 + min(caps.r1, inner)
+    return m.direct_link[0] + min(m.relay_link[0], m.source_relay_link[0])
 
 
 def classify_cutset_tightness(m: DiscreteOrcd) -> set[str]:
@@ -727,12 +724,12 @@ def classify_cutset_tightness(m: DiscreteOrcd) -> set[str]:
         cases.add("case1")
     if float(sr_supported.max(axis=2).min()) >= 1.0 - tol:
         cases.add("case2")
-    r1 = _relay_rate(m)[0]
+    r1 = m.relay_link[0]
     w_marginal = np.einsum("xzr,z->xr", m.chan_sr, m.p_z.probs)
     c_marginal = channel_capacity(w_marginal)[0]
     if c_marginal >= r1 - tol:
         cases.add("case3")
-    p_bar = channel_capacity(_state_compound_matrix(m.chan_sr, m.p_z))[1]
+    p_bar = m.source_relay_link[1]
     p_yr_given_z = np.einsum("x,xzr->zr", p_bar, m.chan_sr)
     h_bar = float(
         sum(

@@ -1,5 +1,6 @@
 """Tests for channel models, link capacities, and model files."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -200,6 +201,46 @@ class TestLinkCapacities:
         for evals, gap in ((caps.evals_r1, caps.gap_r1), (caps.evals_r2, caps.gap_r2)):
             assert evals >= 1
             assert 0.0 <= gap < _BA_GAP
+
+
+class TestLinkCache:
+    WEAK = np.array([[0.5, 0.3, 0.2], [0.4, 0.36, 0.24]])
+
+    def _model(self) -> DiscreteOrcd:
+        return DiscreteOrcd(
+            p_z=Pmf([0.5, 0.5]),
+            chan_sr=_state_free(_bsc(0.1)),
+            chan_rd=_state_free(_bsc(0.2)),
+            chan_sd=_state_free(self.WEAK),
+        )
+
+    def test_replaced_model_computes_its_own(self):
+        m = self._model()
+        caps = link_capacities(m)
+        piped = link_capacities(dataclasses.replace(m, r1_pipe=0.3))
+        assert (piped.r1, piped.r2) == (0.3, caps.r2)
+        clean = link_capacities(dataclasses.replace(m, chan_sd=_state_free(_bsc(0.11))))
+        assert clean.r2 == pytest.approx(ONE_MINUS_H2_011, abs=1e-6)
+        assert clean.r2 != caps.r2
+        assert (link_capacities(m).r1, link_capacities(m).r2) == (caps.r1, caps.r2)
+
+    def test_failure_is_not_remembered(self, monkeypatch):
+        m = self._model()
+        monkeypatch.setattr(models, "_BA_ITERS", 5)
+        for _ in range(2):
+            with pytest.raises(SolverError, match="5 evaluations"):
+                link_capacities(m)
+        monkeypatch.undo()
+        assert link_capacities(m).gap_r2 < _BA_GAP
+
+    def test_cached_results_are_read_only(self):
+        piped = embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.37))
+        for m in (self._model(), piped):
+            for link in (m.relay_link, m.direct_link, m.source_relay_link):
+                with pytest.raises(ValueError):
+                    link[1][0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                m.relay_link = (0.0, np.ones(1), 0, 0.0)
 
 
 class TestEmbedParallelBinary:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from relaycap import solver
+from relaycap import models, solver
 from relaycap.errors import UsageError
 from relaycap.info import (
     JointPmf,
@@ -424,6 +424,51 @@ class TestBruteForce:
             grid_best = brute_force_capacity(m, 0.1)
             solved = solve_capacity(m, SolveConfig(restarts=8, max_iters=600)).best_rate
             assert grid_best <= solved + 1e-9
+
+
+class TestBlahutArimotoOncePerModel:
+    """Every consumer of a model reads each link's capacity from the model."""
+
+    def _run_all(self, m: DiscreteOrcd, monkeypatch) -> dict[str, list]:
+        calls = {"models": [], "solver": []}
+        capacity = models.channel_capacity
+        for name, module in (("models", models), ("solver", solver)):
+            def counted(w, _seen=calls[name]):
+                _seen.append(np.array(w))
+                return capacity(w)
+            monkeypatch.setattr(module, "channel_capacity", counted)
+        scheme = _scheme([[0.3, 0.7]], _constant_yhat(m.n_yr, 1, 2), 1, 2)
+        models.link_capacities(m)
+        cutset_discrete(m)
+        classify_cutset_tightness(m)
+        for _ in range(3):
+            objective(m, scheme)
+        brute_force_capacity(m, 0.25)
+        solve_capacity(m, SolveConfig(restarts=2, max_iters=0, seed=0))
+        return calls
+
+    @staticmethod
+    def _distinct(channels: list) -> bool:
+        return len({(w.shape, w.tobytes()) for w in channels}) == len(channels)
+
+    def test_real_links(self, monkeypatch):
+        noisy = np.array([[[0.8, 0.2], [0.7, 0.3]], [[0.1, 0.9], [0.25, 0.75]]])
+        m = DiscreteOrcd(
+            p_z=Pmf([0.4, 0.6]),
+            chan_sr=noisy,
+            chan_rd=noisy[::-1],
+            chan_sd=np.repeat(np.array([[0.5, 0.3, 0.2], [0.4, 0.36, 0.24]])[:, None], 2, axis=1),
+        )
+        calls = self._run_all(m, monkeypatch)
+        # relay, direct and source-relay links, then the state-averaged channel
+        assert len(calls["models"]) == 3 and self._distinct(calls["models"])
+        assert len(calls["solver"]) == 1
+
+    def test_bit_pipe(self, monkeypatch):
+        calls = self._run_all(_bin_model(0.1, p_z=0.3), monkeypatch)
+        # the pipe needs no call: direct and source-relay links only
+        assert len(calls["models"]) == 2 and self._distinct(calls["models"])
+        assert len(calls["solver"]) == 1
 
 
 class TestCutsetDiscrete:
