@@ -18,14 +18,20 @@ beta-sweep of the information bottleneck, in Blahut-Arimoto form), adds the
 two points to the pool and takes the new chord, until the chord stops rising.
 The envelope at R1 is realised by time sharing folded into U and re-evaluated
 exactly, so the result is a certified lower bound on the capacity,
-deterministic for a fixed seed. ``brute_force_capacity`` is an independent
-coarse-grid oracle for tiny models, and ``cutset_discrete`` the matching upper
-bound. Model and config values are never mutated during a solve.
+deterministic for a fixed seed. The search also stops as soon as that
+certified rate meets the cut-set bound to within its Blahut-Arimoto
+certificate ``_BA_GAP``: the bound is then the capacity, so the stop forgoes
+at most ``_BA_GAP`` bits (plus the rounding of the feasibility tolerance), and
+it fires only where the solve reaches the cut-set bound.
+``brute_force_capacity`` is an independent coarse-grid oracle for tiny models,
+and ``cutset_discrete`` the matching upper bound. Model and config values are
+never mutated during a solve.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
@@ -272,6 +278,10 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
 # Lagrangian Blahut-Arimoto solver
 # ---------------------------------------------------------------------------
 
+# One DEBUG record per solve_capacity call: rounds searched, ascent rows and
+# why the search stopped. Silent unless the application configures logging.
+_log = logging.getLogger(__name__)
+
 # Largest |X1| |Y_R| |Z| the solver accepts.
 _PRODUCT_CAP = 512
 
@@ -490,6 +500,15 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     or the best feasible point, is realised by time sharing folded into U.
     The returned scheme is re-evaluated exactly: the result is a certified
     lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
+
+    A round whose best chord reaches ``cutset_discrete(m) - _BA_GAP`` realises
+    and certifies that pick at once, and returns it if it is feasible and
+    still meets the bound: no later round could raise the rate by more than
+    ``_BA_GAP`` bits (plus feasibility-tolerance rounding). The stop fires only
+    where the solve reaches the cut-set bound; below it every round runs as
+    before. One DEBUG record on the ``relaycap.solver`` logger gives the
+    rounds searched, the ascent rows and the stop: ``cutset met``, ``no chord
+    rising`` or ``round cap``.
     """
     cfg = cfg or SolveConfig()
     for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
@@ -522,9 +541,42 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     # a group of one start would repeat that start's search
     searches += [(group, (group,)) for group in groups.values() if len(group) > 2]
 
-    # each round ascends from both ends of every rising chord at its slope
+    def certified(joint: np.ndarray, test: np.ndarray):
+        scheme = AuxiliaryScheme(
+            joint_ux1=JointPmf(joint, axis_labels=("U", "X1")),
+            test_channel=test.transpose(1, 0, 2),
+            card_u=card_u,
+            card_yhat=card_yhat,
+        )
+        return (scheme,) + _scheme_terms(base, scheme)
+
+    def pick() -> tuple[AuxiliaryScheme, float, float]:
+        """(scheme, rate without R2, constraint value) of the pools' best.
+
+        The best group chord that fits card_u, realised by time sharing
+        folded into U, where it beats the best feasible point and its exact
+        re-evaluation is feasible; else that point. Either is re-evaluated
+        exactly.
+        """
+        chord = max(((c, group) for group in groups.values()
+                     if (c := _chord(group, r1, card_u)) is not None),
+                    key=lambda cg: cg[0][0], default=None)
+        single = max((pt for group in groups.values() for pt in group
+                      if _feasible(pt[3], r1)), key=lambda pt: pt[2])
+        found = certified(single[0], single[1])
+        if chord is not None and chord[0][0] > single[2]:
+            (_, lam, i, j), group = chord
+            cand = certified(*_fold(lam, group[i][:2], group[j][:2], card_u))
+            if _feasible(cand[2], r1) and cand[1] > found[1]:
+                found = cand
+        return found
+
+    # each round ascends from both ends of every rising chord at its slope,
+    # unless the pick it would return already meets the cut-set bound
+    bound = cutset_discrete(m) - _BA_GAP
     best = [-math.inf] * len(searches)
-    for _ in range(_REFINE_ROUNDS):
+    ascended_rows = 0
+    for rounds in range(1, _REFINE_ROUNDS + 1):
         rising = []
         for k, (pool, _) in enumerate(searches):
             chord = _chord(pool, r1)
@@ -535,43 +587,29 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
             slope = (ends[1][2] - ends[0][2]) / (ends[1][3] - ends[0][3])
             if slope > 0.0:
                 rising.append((k, ends, slope))
+        found = pick() if r2 + max(best) >= bound else None
+        if found is not None and _feasible(found[2], r1) and r2 + found[1] >= bound:
+            stop = "cutset met"
+            break
         if not rising:
+            stop = "no chord rising"
             break
         # a point at the end of two chords of one slope is ascended once
         rows = {(id(e), slope): e for _, ends, slope in rising for e in ends}
         ascended = _ascent(base, np.stack([e[0] for e in rows.values()]),
                            np.stack([e[1] for e in rows.values()]),
                            np.array([slope for _, slope in rows]), cfg.max_iters)
+        ascended_rows += len(rows)
         points = dict(zip(rows, zip(*ascended)))
         for k, ends, slope in rising:
             for target in searches[k][1]:
                 target += [points[id(e), slope] for e in ends]
-    chord = max(((c, group) for group in groups.values()
-                 if (c := _chord(group, r1, card_u)) is not None),
-                key=lambda cg: cg[0][0], default=None)
+    else:  # the last round's ascent added points to the pools
+        found, stop = None, "round cap"
+    _log.debug("solve_capacity: %d rounds, %d ascent rows, stopped: %s",
+               rounds, ascended_rows, stop)
 
-    # the best feasible point, or the best chord where it is better
-    single = max((pt for group in groups.values() for pt in group
-                  if _feasible(pt[3], r1)), key=lambda pt: pt[2])
-    mix = None
-    if chord is not None and chord[0][0] > single[2]:
-        (_, lam, i, j), group = chord
-        mix = (lam, group[i][:2], group[j][:2])
-
-    def certified(joint: np.ndarray, test: np.ndarray):
-        scheme = AuxiliaryScheme(
-            joint_ux1=JointPmf(joint, axis_labels=("U", "X1")),
-            test_channel=test.transpose(1, 0, 2),
-            card_u=card_u,
-            card_yhat=card_yhat,
-        )
-        return (scheme,) + _scheme_terms(base, scheme)
-
-    scheme, rate, lhs = certified(single[0], single[1])
-    if mix is not None:
-        cand = certified(*_fold(*mix, card_u))
-        if _feasible(cand[2], r1) and cand[1] > rate:
-            scheme, rate, lhs = cand
+    scheme, rate, lhs = found or pick()
     return SolveReport(
         best_rate=r2 + rate,
         best_scheme=scheme,

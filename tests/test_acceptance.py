@@ -290,7 +290,7 @@ def test_criterion_6_cutset_tightness_cases():
         ok_fired = label in fired
         bound = cutset_discrete(m)
         solved = solve_capacity(m, SolveConfig()).best_rate
-        ok_close = bound - solved <= 2e-2
+        ok_close = bound - solved <= 1e-9
         ok = ok and ok_fired and ok_close
         details.append(
             f"{label}: fired={ok_fired}, cutset {bound:.6f}, solve {solved:.6f}"

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -180,6 +181,17 @@ class TestSolveCommand:
         main(argv + ["--out", str(a)])
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_solver_debug_log_leaves_output_bytes(self, tmp_path, caplog):
+        model = _write_model(tmp_path, dict(BIN_MODEL, p_z=0.0))
+        quiet, logged = tmp_path / "quiet.json", tmp_path / "logged.json"
+        argv = ["solve", "--model", str(model), "--restarts", "2", "--max-iters", "0"]
+        assert main(argv + ["--out", str(quiet)]) == 0
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="relaycap.solver"):
+            assert main(argv + ["--out", str(logged)]) == 0
+        assert [r.name for r in caplog.records] == ["relaycap.solver"]
+        assert quiet.read_bytes() == logged.read_bytes()
 
     def test_zero_pipe_model(self, tmp_path):
         model = _write_model(tmp_path, dict(BIN_MODEL, r1=0.0))
