@@ -16,6 +16,12 @@ endpoints of the chord it maximises the Lagrangian at that slope by
 alternating closed-form updates of the test channel and of p(u | x1) (the
 beta-sweep of the information bottleneck, in Blahut-Arimoto form), adds the
 two points to the pool and takes the new chord, until the chord stops rising.
+Starts that share p(x1) also search their group's joint pool. Once a group's
+chord stalls (it rose by at most ``_BA_GAP`` bits in a round), its line at R1,
+rate R_g and slope s_g, prices the new points of the group's start searches:
+a start none of whose points has a positive reduced cost
+R - R_g - s_g (C - R1), i.e. lies above that line, ends for good, and its
+points stay in the group's pool (column generation's pricing test).
 The envelope at R1 is realised by time sharing folded into U and re-evaluated
 exactly, so the result is a certified lower bound on the capacity,
 deterministic for a fixed seed. The search also stops as soon as that
@@ -278,8 +284,9 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
 # Lagrangian Blahut-Arimoto solver
 # ---------------------------------------------------------------------------
 
-# One DEBUG record per solve_capacity call: rounds searched, ascent rows and
-# why the search stopped. Silent unless the application configures logging.
+# One DEBUG record per solve_capacity call: rounds searched, ascent rows,
+# start searches priced out and why the search stopped. Silent unless the
+# application configures logging.
 _log = logging.getLogger(__name__)
 
 # Largest |X1| |Y_R| |Z| the solver accepts.
@@ -496,8 +503,13 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     is a slope s, and the Lagrangian Blahut-Arimoto iteration at s from both
     endpoints adds two points to the pool. All pools go through one batched
     ascent per round, for up to ``_REFINE_ROUNDS`` rounds; a pool drops out
-    once its chord stops rising. The best chord of a group that fits card_u,
-    or the best feasible point, is realised by time sharing folded into U.
+    once its chord stops rising. A start search also ends once its group's
+    chord has stalled (risen by at most ``_BA_GAP`` bits that round) and none
+    of the start's new points has a positive reduced cost
+    R - R_g - s_g (C - r1) against the group chord's rate R_g and slope s_g
+    at r1; its points stay in the group's pool. The best chord of a group
+    that fits card_u, or the best feasible point, is realised by time
+    sharing folded into U.
     The returned scheme is re-evaluated exactly: the result is a certified
     lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
 
@@ -507,8 +519,8 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     ``_BA_GAP`` bits (plus feasibility-tolerance rounding). The stop fires only
     where the solve reaches the cut-set bound; below it every round runs as
     before. One DEBUG record on the ``relaycap.solver`` logger gives the
-    rounds searched, the ascent rows and the stop: ``cutset met``, ``no chord
-    rising`` or ``round cap``.
+    rounds searched, the ascent rows, the start searches priced out and the
+    stop: ``cutset met``, ``no chord rising`` or ``round cap``.
     """
     cfg = cfg or SolveConfig()
     for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
@@ -531,15 +543,15 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
 
     # pools of (joint, q[u, y_r, yhat], R, C): one per start, one per p(x1)
     groups: dict[bytes, list] = {}
-    searches = []  # (pool searched, the pools its new points join)
+    searches = []  # (pool searched, its group's pool): one pool for a group's search
     for start in itertools.islice(_starts(m.n_x1, card_u, cfg.seed), cfg.restarts):
         group = groups.setdefault(start.sum(axis=0).tobytes(), [])
         pool = list(zip((start, start), fixed,
                         *_Expression(base, np.stack([start, start])).terms(fixed)[:2]))
         group += pool
-        searches.append((pool, (pool, group)))
+        searches.append((pool, group))
     # a group of one start would repeat that start's search
-    searches += [(group, (group,)) for group in groups.values() if len(group) > 2]
+    searches += [(group, group) for group in groups.values() if len(group) > 2]
 
     def certified(joint: np.ndarray, test: np.ndarray):
         scheme = AuxiliaryScheme(
@@ -575,18 +587,28 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     # unless the pick it would return already meets the cut-set bound
     bound = cutset_discrete(m) - _BA_GAP
     best = [-math.inf] * len(searches)
-    ascended_rows = 0
+    ended: set[int] = set()  # start searches that take no further round
+    ascended_rows = priced_out = 0
     for rounds in range(1, _REFINE_ROUNDS + 1):
-        rising = []
-        for k, (pool, _) in enumerate(searches):
-            chord = _chord(pool, r1)
-            if chord is None or chord[0] <= best[k]:
+        rising, lines = [], {}
+        for k, (pool, group) in enumerate(searches):
+            if k in ended:
                 continue
-            best[k] = chord[0]
-            ends = (pool[chord[2]], pool[chord[3]])
-            slope = (ends[1][2] - ends[0][2]) / (ends[1][3] - ends[0][3])
-            if slope > 0.0:
-                rising.append((k, ends, slope))
+            chord = _chord(pool, r1)
+            if chord is not None:
+                ends = (pool[chord[2]], pool[chord[3]])
+                slope = (ends[1][2] - ends[0][2]) / (ends[1][3] - ends[0][3])
+                # a group's line prices its starts once its chord has stalled:
+                # while the chord still rises, a start's later points may shape it
+                if pool is group and chord[0] - best[k] <= _BA_GAP:
+                    lines[id(group)] = chord[0], slope
+                if chord[0] > best[k]:
+                    best[k] = chord[0]
+                    if slope > 0.0:
+                        rising.append((k, ends, slope))
+                        continue
+            if pool is not group:  # its pool grows only from its own ascents
+                ended.add(k)
         found = pick() if r2 + max(best) >= bound else None
         if found is not None and _feasible(found[2], r1) and r2 + found[1] >= bound:
             stop = "cutset met"
@@ -601,13 +623,24 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
                            np.array([slope for _, slope in rows]), cfg.max_iters)
         ascended_rows += len(rows)
         points = dict(zip(rows, zip(*ascended)))
+        joined = set()  # (pool, point) pairs: each new point joins a pool once
         for k, ends, slope in rising:
-            for target in searches[k][1]:
-                target += [points[id(e), slope] for e in ends]
+            pool, group = searches[k]
+            new = [points[id(e), slope] for e in ends]
+            for target in (pool, group):
+                target += [pt for pt in new if (id(target), id(pt)) not in joined]
+                joined.update((id(target), id(pt)) for pt in new)
+            # a start ends once none of its new points has a positive reduced
+            # cost against its group's stalled line
+            line = lines.get(id(group)) if pool is not group else None
+            if line is not None and not any(rate - line[0] - line[1] * (lhs - r1) > 0.0
+                                            for _, _, rate, lhs in new):
+                ended.add(k)
+                priced_out += 1
     else:  # the last round's ascent added points to the pools
         found, stop = None, "round cap"
-    _log.debug("solve_capacity: %d rounds, %d ascent rows, stopped: %s",
-               rounds, ascended_rows, stop)
+    _log.debug("solve_capacity: %d rounds, %d ascent rows, %d starts priced out, "
+               "stopped: %s", rounds, ascended_rows, priced_out, stop)
 
     scheme, rate, lhs = found or pick()
     return SolveReport(

@@ -289,6 +289,93 @@ class TestCutsetStop:
         assert record.getMessage().endswith(f"stopped: {stop}")
 
 
+def _bit_pipe_model(i: int) -> DiscreteOrcd:
+    """Seeded random bit-pipe model number i: |X1| and |Y_R| in {2, 3}, |Z| in
+    {1, 2}, Dirichlet(1) state pmf, Dirichlet(0.5) relay rows and a pipe rate
+    uniform on [0.05, 1)."""
+    rng = np.random.default_rng((2026, i))
+    n_x1, n_yr, n_z = (int(rng.integers(lo, hi)) for lo, hi in ((2, 4), (2, 4), (1, 3)))
+    p_z = rng.dirichlet(np.ones(n_z))
+    chan_sr = rng.dirichlet(np.full(n_yr, 0.5), size=(n_x1, n_z))
+    trivial = np.ones((1, n_z, 1))
+    return DiscreteOrcd(p_z=p_z, chan_sr=chan_sr, chan_rd=trivial, chan_sd=trivial,
+                        r1_pipe=float(rng.uniform(0.05, 1.0)))
+
+
+class TestStartPricing:
+    """A start search ends once none of its new points prices above its
+    group's stalled line at r1."""
+
+    STRUCTURED = SolveConfig(restarts=2, max_iters=0)
+    # fig4 delta = 0.1: the group chord stalls after a few rounds, while the
+    # compress-only start's own chord creeps far below it
+    FIG4_D010 = 0.872645726539786
+    # certified rates of _bit_pipe_model(i), i < 40, at STRUCTURED, measured
+    # before start searches were priced
+    BIT_PIPE_RATES = (
+        0.21016675942661855, 0.15898644105912885, 0.3841796907736743, 0.4608583627657836,
+        0.06706074615779212, 0.03101141615549774, 0.007329574288919227, 0.2615727931002967,
+        0.1720402129120644, 0.21634717035136886, 0.2277642383819063, 0.21150077788938493,
+        0.13930964469399632, 0.7636572942988118, 0.3958909609307337, 0.6059219580253141,
+        0.258918368960974, 0.3702367546797414, 0.0181689730141259, 0.20464748254618126,
+        0.1855953251275524, 0.11662851581026779, 0.15040149306555106, 0.32833407293782013,
+        0.3096978082158772, 0.11018420377728089, 0.5697029959352287, 0.48723385265427455,
+        0.2675927019513571, 0.0166858230841318, 0.2811138515588738, 0.3029023177360961,
+        0.12827462996050398, 0.2938347134029917, 0.47923869337468394, 0.10398318849862687,
+        0.4158394547594959, 0.18239966317651746, 0.08683783912318965, 0.014086595281496361,
+    )
+
+    @staticmethod
+    def _fig4_d010() -> DiscreteOrcd:
+        return embed_parallel_binary(ParallelBinaryMrcd(delta=0.1, p_z=0.15, r1=1.2))
+
+    @staticmethod
+    def _chorded_pools(monkeypatch) -> list:
+        """(pool length, distinct points, pool id) of every search chord."""
+        seen = []
+        chord = solver._chord
+
+        def recorded(pool, r1, card_u=None):
+            if card_u is None:
+                seen.append((len(pool), len({id(pt) for pt in pool}), id(pool)))
+            return chord(pool, r1, card_u)
+
+        monkeypatch.setattr(solver, "_chord", recorded)
+        return seen
+
+    def test_stalled_group_ends_the_search_early(self, monkeypatch):
+        calls = TestCutsetStop._count_ascents(monkeypatch)
+        rate = solve_capacity(self._fig4_d010(), self.STRUCTURED).best_rate
+        assert len(calls) < solver._REFINE_ROUNDS
+        assert rate == pytest.approx(self.FIG4_D010, rel=0.0, abs=1e-12)
+
+    def test_debug_record_counts_priced_out_starts(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="relaycap.solver"):
+            solve_capacity(self._fig4_d010(), self.STRUCTURED)
+        (record,) = caplog.records
+        assert ", 1 starts priced out, stopped: " in record.getMessage()
+
+    def test_no_pool_holds_a_point_twice(self, monkeypatch):
+        # fair-state delta = 0.1: the start searches share their chord with the group's
+        seen = self._chorded_pools(monkeypatch)
+        solve_capacity(_bin_model(0.1), self.STRUCTURED)
+        assert seen and all(n == distinct for n, distinct, _ in seen)
+
+    def test_unchanged_pool_is_not_chorded_again(self, monkeypatch):
+        seen = self._chorded_pools(monkeypatch)
+        solve_capacity(_bin_model(0.1), self.STRUCTURED)
+        keys = [(pool, n) for n, _, pool in seen]
+        assert len(keys) == len(set(keys))
+
+    def test_bit_pipe_rates_never_fall(self):
+        fallen = {}
+        for i, pinned in enumerate(self.BIT_PIPE_RATES):
+            rate = solve_capacity(_bit_pipe_model(i), self.STRUCTURED).best_rate
+            if rate < pinned - 1e-9:
+                fallen[i] = rate - pinned
+        assert fallen == {}
+
+
 # an even grid of multipliers in (0, 1), one batch row each
 _MULTIPLIERS = np.arange(1, 28) / 28.0
 
