@@ -16,12 +16,10 @@ endpoints of the chord it maximises the Lagrangian at that slope by
 alternating closed-form updates of the test channel and of p(u | x1) (the
 beta-sweep of the information bottleneck, in Blahut-Arimoto form), adds the
 two points to the pool and takes the new chord, until the chord stops rising.
-Starts that share p(x1) also search their group's joint pool. Once a group's
-chord stalls (it rose by at most ``_BA_GAP`` bits in a round), its line at R1,
-rate R_g and slope s_g, prices the new points of the group's start searches:
-a start none of whose points has a positive reduced cost
-R - R_g - s_g (C - R1), i.e. lies above that line, ends for good, and its
-points stay in the group's pool (column generation's pricing test).
+Starts that share p(x1) also search their group's joint pool. A search goes
+on while its pool grows, and a start's search ends in the round its group's
+chord stalls (rises by at most ``_BA_GAP`` bits); its points stay in the
+group's pool.
 The envelope at R1 is realised by time sharing folded into U and re-evaluated
 exactly, so the result is a certified lower bound on the capacity,
 deterministic for a fixed seed. The search also stops as soon as that
@@ -285,8 +283,8 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 # One DEBUG record per solve_capacity call: rounds searched, ascent rows,
-# start searches priced out and why the search stopped. Silent unless the
-# application configures logging.
+# start searches stopped by their group's stall and why the search stopped.
+# Silent unless the application configures logging.
 _log = logging.getLogger(__name__)
 
 # Largest |X1| |Y_R| |Z| the solver accepts.
@@ -472,9 +470,9 @@ def _fold(lam: float, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.
 
 
 def _chord(pool: list, r1: float, card_u: int | None = None) -> tuple | None:
-    """The segment at r1 of the pool's upper concave envelope: (rate, lam, i, j).
+    """The segment at r1 of the pool's upper concave envelope: (rate, lam, a, b).
 
-    Point i meets the pipe constraint, point j exceeds it and lam : 1 - lam
+    Point a meets the pipe constraint, point b exceeds it and lam : 1 - lam
     of them meets it with equality; given ``card_u``, their used rows of U
     must fit it. None when no pair qualifies.
     """
@@ -490,7 +488,7 @@ def _chord(pool: list, r1: float, card_u: int | None = None) -> tuple | None:
     lam = np.where(ok, (lhs[None, :] - r1) / span, 0.0)
     mixed = np.where(ok, lam * rate[:, None] + (1.0 - lam) * rate[None, :], -math.inf)
     i, j = np.unravel_index(int(np.argmax(mixed)), mixed.shape)
-    return mixed[i, j], float(lam[i, j]), int(i), int(j)
+    return mixed[i, j], float(lam[i, j]), pool[i], pool[j]
 
 
 def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveReport:
@@ -502,14 +500,12 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     its chord there (the segment of its upper concave envelope active at r1)
     is a slope s, and the Lagrangian Blahut-Arimoto iteration at s from both
     endpoints adds two points to the pool. All pools go through one batched
-    ascent per round, for up to ``_REFINE_ROUNDS`` rounds; a pool drops out
-    once its chord stops rising. A start search also ends once its group's
-    chord has stalled (risen by at most ``_BA_GAP`` bits that round) and none
-    of the start's new points has a positive reduced cost
-    R - R_g - s_g (C - r1) against the group chord's rate R_g and slope s_g
-    at r1; its points stay in the group's pool. The best chord of a group
-    that fits card_u, or the best feasible point, is realised by time
-    sharing folded into U.
+    ascent per round, for up to ``_REFINE_ROUNDS`` rounds; a search goes on
+    while its pool grows. A start's search also ends in the round its
+    group's chord stalls (rises by at most ``_BA_GAP`` bits); its points stay
+    in the group's pool, and a group of one start is searched once, through
+    that pool. The best chord of a group that fits card_u, or the best
+    feasible point, is realised by time sharing folded into U.
     The returned scheme is re-evaluated exactly: the result is a certified
     lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
 
@@ -519,8 +515,9 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     ``_BA_GAP`` bits (plus feasibility-tolerance rounding). The stop fires only
     where the solve reaches the cut-set bound; below it every round runs as
     before. One DEBUG record on the ``relaycap.solver`` logger gives the
-    rounds searched, the ascent rows, the start searches priced out and the
-    stop: ``cutset met``, ``no chord rising`` or ``round cap``.
+    rounds searched, the ascent rows, the start searches stopped by their
+    group's stall and the stop: ``cutset met``, ``no chord rising`` or
+    ``round cap``.
     """
     cfg = cfg or SolveConfig()
     for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
@@ -550,7 +547,8 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
                         *_Expression(base, np.stack([start, start])).terms(fixed)[:2]))
         group += pool
         searches.append((pool, group))
-    # a group of one start would repeat that start's search
+    # a group of one start is searched once, through the group's pool
+    searches = [(group if len(group) == 2 else pool, group) for pool, group in searches]
     searches += [(group, group) for group in groups.values() if len(group) > 2]
 
     def certified(joint: np.ndarray, test: np.ndarray):
@@ -570,15 +568,15 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
         re-evaluation is feasible; else that point. Either is re-evaluated
         exactly.
         """
-        chord = max(((c, group) for group in groups.values()
+        chord = max((c for group in groups.values()
                      if (c := _chord(group, r1, card_u)) is not None),
-                    key=lambda cg: cg[0][0], default=None)
+                    key=lambda c: c[0], default=None)
         single = max((pt for group in groups.values() for pt in group
                       if _feasible(pt[3], r1)), key=lambda pt: pt[2])
         found = certified(single[0], single[1])
-        if chord is not None and chord[0][0] > single[2]:
-            (_, lam, i, j), group = chord
-            cand = certified(*_fold(lam, group[i][:2], group[j][:2], card_u))
+        if chord is not None and chord[0] > single[2]:
+            _, lam, a, b = chord
+            cand = certified(*_fold(lam, a[:2], b[:2], card_u))
             if _feasible(cand[2], r1) and cand[1] > found[1]:
                 found = cand
         return found
@@ -586,61 +584,55 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     # each round ascends from both ends of every rising chord at its slope,
     # unless the pick it would return already meets the cut-set bound
     bound = cutset_discrete(m) - _BA_GAP
-    best = [-math.inf] * len(searches)
-    ended: set[int] = set()  # start searches that take no further round
-    ascended_rows = priced_out = 0
+    best = {id(pool): -math.inf for pool, _ in searches}
+    live = searches
+    ascended_rows = stopped = 0
     for rounds in range(1, _REFINE_ROUNDS + 1):
-        rising, lines = [], {}
-        for k, (pool, group) in enumerate(searches):
-            if k in ended:
-                continue
+        rising, stalled = [], set()
+        for pool, group in live:
             chord = _chord(pool, r1)
-            if chord is not None:
-                ends = (pool[chord[2]], pool[chord[3]])
-                slope = (ends[1][2] - ends[0][2]) / (ends[1][3] - ends[0][3])
-                # a group's line prices its starts once its chord has stalled:
-                # while the chord still rises, a start's later points may shape it
-                if pool is group and chord[0] - best[k] <= _BA_GAP:
-                    lines[id(group)] = chord[0], slope
-                if chord[0] > best[k]:
-                    best[k] = chord[0]
-                    if slope > 0.0:
-                        rising.append((k, ends, slope))
-                        continue
-            if pool is not group:  # its pool grows only from its own ascents
-                ended.add(k)
-        found = pick() if r2 + max(best) >= bound else None
+            if chord is None:
+                continue
+            rate, _, a, b = chord
+            if pool is group and rate - best[id(pool)] <= _BA_GAP:
+                stalled.add(id(group))
+            if rate > best[id(pool)]:
+                best[id(pool)] = rate
+                slope = (b[2] - a[2]) / (b[3] - a[3])
+                if slope > 0.0:
+                    rising.append((pool, group, (a, b), slope))
+        found = pick() if r2 + max(best.values()) >= bound else None
         if found is not None and _feasible(found[2], r1) and r2 + found[1] >= bound:
             stop = "cutset met"
             break
         if not rising:
             stop = "no chord rising"
             break
-        # a point at the end of two chords of one slope is ascended once
-        rows = {(id(e), slope): e for _, ends, slope in rising for e in ends}
-        ascended = _ascent(base, np.stack([e[0] for e in rows.values()]),
-                           np.stack([e[1] for e in rows.values()]),
+        # a point at the end of two chords of one slope is ascended once and
+        # joins its group's pool once
+        rows = {(id(e), slope): (e, group) for _, group, ends, slope in rising for e in ends}
+        ascended = _ascent(base, np.stack([e[0] for e, _ in rows.values()]),
+                           np.stack([e[1] for e, _ in rows.values()]),
                            np.array([slope for _, slope in rows]), cfg.max_iters)
         ascended_rows += len(rows)
         points = dict(zip(rows, zip(*ascended)))
-        joined = set()  # (pool, point) pairs: each new point joins a pool once
-        for k, ends, slope in rising:
-            pool, group = searches[k]
-            new = [points[id(e), slope] for e in ends]
-            for target in (pool, group):
-                target += [pt for pt in new if (id(target), id(pt)) not in joined]
-                joined.update((id(target), id(pt)) for pt in new)
-            # a start ends once none of its new points has a positive reduced
-            # cost against its group's stalled line
-            line = lines.get(id(group)) if pool is not group else None
-            if line is not None and not any(rate - line[0] - line[1] * (lhs - r1) > 0.0
-                                            for _, _, rate, lhs in new):
-                ended.add(k)
-                priced_out += 1
+        for key, (_, group) in rows.items():
+            group.append(points[key])
+        grown = set()
+        for pool, group, ends, slope in rising:
+            if pool is not group:
+                pool += [points[id(e), slope] for e in ends]
+            grown |= {id(pool), id(group)}
+        # a search goes on while its pool grows, a start's search only until
+        # its group's chord stalls
+        going = [(pool, group) for pool, group in live if id(pool) in grown]
+        live = [(pool, group) for pool, group in going
+                if pool is group or id(group) not in stalled]
+        stopped += len(going) - len(live)
     else:  # the last round's ascent added points to the pools
         found, stop = None, "round cap"
-    _log.debug("solve_capacity: %d rounds, %d ascent rows, %d starts priced out, "
-               "stopped: %s", rounds, ascended_rows, priced_out, stop)
+    _log.debug("solve_capacity: %d rounds, %d ascent rows, %d starts stopped by their "
+               "group, stopped: %s", rounds, ascended_rows, stopped, stop)
 
     scheme, rate, lhs = found or pick()
     return SolveReport(

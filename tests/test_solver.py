@@ -303,10 +303,11 @@ def _bit_pipe_model(i: int) -> DiscreteOrcd:
 
 
 class TestStartPricing:
-    """A start search ends once none of its new points prices above its
-    group's stalled line at r1."""
+    """A search goes on while its pool grows, and a start's search ends in the
+    round its group's chord stalls."""
 
     STRUCTURED = SolveConfig(restarts=2, max_iters=0)
+    MULTI_START = SolveConfig(restarts=4, max_iters=0)
     # fig4 delta = 0.1: the group chord stalls after a few rounds, while the
     # compress-only start's own chord creeps far below it
     FIG4_D010 = 0.872645726539786
@@ -323,6 +324,21 @@ class TestStartPricing:
         0.2675927019513571, 0.0166858230841318, 0.2811138515588738, 0.3029023177360961,
         0.12827462996050398, 0.2938347134029917, 0.47923869337468394, 0.10398318849862687,
         0.4158394547594959, 0.18239966317651746, 0.08683783912318965, 0.014086595281496361,
+    )
+    # the same at MULTI_START, measured before a start search ended when its
+    # group's chord stalled; it reaches groups of three and four structured
+    # starts and seeded single-start groups
+    MULTI_START_RATES = (
+        0.21016675942661855, 0.15898644105912885, 0.39505742548850664, 0.4608583627657836,
+        0.06706074615779212, 0.03119695977570114, 0.007329574288919227, 0.2615727931002967,
+        0.1720402129120644, 0.21634717035136886, 0.235856550782215, 0.23179541734964104,
+        0.13930964469399632, 0.7636572942988118, 0.3958909609307337, 0.6059219580253141,
+        0.258918368960974, 0.3702367546797414, 0.01889533045741132, 0.20464748254618126,
+        0.18559532512755172, 0.11662851581026779, 0.1562874809015513, 0.32833407293782013,
+        0.3096978082158772, 0.11018420377728089, 0.5704794200075467, 0.48723385265427455,
+        0.2675927019513571, 0.0166858230841318, 0.2811138515588738, 0.3029023177360961,
+        0.12827462996050398, 0.29383471340299216, 0.47923869337468394, 0.10398318849862687,
+        0.4158394547594959, 0.18239966317651746, 0.08683783912318965, 0.014086595281496805,
     )
 
     @staticmethod
@@ -353,7 +369,8 @@ class TestStartPricing:
         with caplog.at_level(logging.DEBUG, logger="relaycap.solver"):
             solve_capacity(self._fig4_d010(), self.STRUCTURED)
         (record,) = caplog.records
-        assert ", 1 starts priced out, stopped: " in record.getMessage()
+        assert ("7 rounds, 22 ascent rows, 1 starts stopped by their group, stopped: "
+                in record.getMessage())
 
     def test_no_pool_holds_a_point_twice(self, monkeypatch):
         # fair-state delta = 0.1: the start searches share their chord with the group's
@@ -361,18 +378,24 @@ class TestStartPricing:
         solve_capacity(_bin_model(0.1), self.STRUCTURED)
         assert seen and all(n == distinct for n, distinct, _ in seen)
 
-    def test_unchanged_pool_is_not_chorded_again(self, monkeypatch):
+    @pytest.mark.parametrize("model, cfg", [(lambda: _bin_model(0.1), STRUCTURED),
+                                            (_fig4_d010, SolveConfig())],
+                             ids=["fair-state", "fig4-d010"])
+    def test_unchanged_pool_is_not_chorded_again(self, model, cfg, monkeypatch):
         seen = self._chorded_pools(monkeypatch)
-        solve_capacity(_bin_model(0.1), self.STRUCTURED)
+        solve_capacity(model(), cfg)
         keys = [(pool, n) for n, _, pool in seen]
         assert len(keys) == len(set(keys))
 
-    def test_bit_pipe_rates_never_fall(self):
+    @pytest.mark.parametrize("cfg, pinned", [(STRUCTURED, BIT_PIPE_RATES),
+                                             (MULTI_START, MULTI_START_RATES)],
+                             ids=["restarts2", "restarts4"])
+    def test_bit_pipe_rates_never_fall(self, cfg, pinned):
         fallen = {}
-        for i, pinned in enumerate(self.BIT_PIPE_RATES):
-            rate = solve_capacity(_bit_pipe_model(i), self.STRUCTURED).best_rate
-            if rate < pinned - 1e-9:
-                fallen[i] = rate - pinned
+        for i, rate_pinned in enumerate(pinned):
+            rate = solve_capacity(_bit_pipe_model(i), cfg).best_rate
+            if rate < rate_pinned - 1e-9:
+                fallen[i] = rate - rate_pinned
         assert fallen == {}
 
 
