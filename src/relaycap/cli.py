@@ -112,17 +112,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_config(args: argparse.Namespace) -> SolveConfig:
-    kwargs = {}
-    for name in ("restarts", "seed", "max_iters", "card_u", "card_yhat"):
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = value
-    return SolveConfig(**kwargs)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
-    report = solve_capacity(as_discrete(load_model(args.model)), _solve_config(args))
+    cfg = SolveConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
+    report = solve_capacity(as_discrete(load_model(args.model)), cfg)
     _write_json(report_to_dict(report), args.out)
     return 0
 
@@ -168,11 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     sol = sub.add_parser("solve", help="solve the capacity expression for a model file")
     sol.add_argument("--model", required=True, help="model JSON path")
     sol.add_argument("--out", required=True)
-    sol.add_argument("--restarts", type=int, default=None)
-    sol.add_argument("--seed", type=int, default=None)
-    sol.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    sol.add_argument("--card-u", dest="card_u", type=int, default=None)
-    sol.add_argument("--card-yhat", dest="card_yhat", type=int, default=None)
+    sol.add_argument("--restarts", type=int, default=SolveConfig.restarts)
+    sol.add_argument("--seed", type=int, default=SolveConfig.seed)
+    sol.add_argument("--max-iters", dest="max_iters", type=int, default=SolveConfig.max_iters)
     sol.set_defaults(func=_cmd_solve)
 
     cls = sub.add_parser("classify", help="report cut-set tightness cases for a model file")

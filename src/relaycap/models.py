@@ -387,6 +387,13 @@ def _require(d: dict, key: str, *, path: str = "") -> Any:
     return d[key]
 
 
+def _only(d: dict, keys, *, path: str = "") -> None:
+    """Reject a key not in ``keys``: a misspelled optional field reads as unset."""
+    for key in d:
+        if key not in keys:
+            raise ValidationError(f"{path}{key}: unknown field")
+
+
 def _number(d: dict, key: str) -> float:
     val = _require(d, key)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
@@ -401,6 +408,7 @@ def _discrete_from_dict(d: dict) -> DiscreteOrcd:
     alphabets = _require(d, "alphabets")
     if not isinstance(alphabets, dict):
         raise ValidationError("alphabets: expected an object")
+    _only(alphabets, _ALPHABET_KEYS, path="alphabets.")
     sizes = {}
     for key in _ALPHABET_KEYS:
         val = _require(alphabets, key, path="alphabets.")
@@ -452,9 +460,11 @@ def model_from_dict(d: dict):
     family = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
         raise ValidationError(f"type: unknown model type {kind!r}")
+    fields = [f.name for f in dataclasses.fields(family)]
+    _only(d, ["type", *fields] + (["alphabets"] if family is DiscreteOrcd else []))
     if family is DiscreteOrcd:
         return _discrete_from_dict(d)
-    return family(**{f.name: _number(d, f.name) for f in dataclasses.fields(family)})
+    return family(**{name: _number(d, name) for name in fields})
 
 
 def model_to_dict(model) -> dict:

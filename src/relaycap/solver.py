@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
@@ -106,16 +107,14 @@ class SolveConfig:
     the order constant U, U = X1, each binary partition of X1, then seeded
     Dirichlet draws. ``max_iters`` caps the p(u | x1) updates of each
     ascent; 0 keeps each start's p(u, x1) and only fits the test channels.
-    ``card_u``/``card_yhat`` default to the sufficient cardinality bounds
-    |X1| + 3 and |U| |Y_R| + 1 and may only be reduced. ``feas_tol`` is the
+    All three are integers (``bool`` is refused). The alphabets of U and Yhat
+    are sized from the model (see ``solve_capacity``). ``feas_tol`` is the
     slack allowed on the pipe constraint, fixed for every solve.
     """
 
     restarts: int = 16
     max_iters: int = 50
     seed: int = 0
-    card_u: int | None = None
-    card_yhat: int | None = None
     feas_tol: ClassVar[float] = 1e-9
 
 
@@ -243,25 +242,17 @@ def _scheme_terms(base: np.ndarray, s: AuxiliaryScheme) -> tuple[float, float]:
     return float(rate[0]), float(lhs[0])
 
 
-def _check_cards(m: DiscreteOrcd, card_u: int, card_yhat: int) -> None:
-    """The sufficient cardinality bounds |U| <= |X1| + 3, |Yhat| <= |U||Y_R| + 1."""
-    for name, card, bound in (("card_u", card_u, m.n_x1 + 3),
-                              ("card_yhat", card_yhat, card_u * m.n_yr + 1)):
+def _check_scheme(m: DiscreteOrcd, s: AuxiliaryScheme) -> None:
+    """The scheme's axes fit the model, within the sufficient cardinality
+    bounds |U| <= |X1| + 3 and |Yhat| <= |U||Y_R| + 1."""
+    for name, card, bound in (("card_u", s.card_u, m.n_x1 + 3),
+                              ("card_yhat", s.card_yhat, s.card_u * m.n_yr + 1)):
         if not 1 <= card <= bound:
             raise UsageError(f"{name} must be in [1, {bound}], got {card}")
-
-
-def _check_scheme(m: DiscreteOrcd, s: AuxiliaryScheme) -> None:
-    _check_cards(m, s.card_u, s.card_yhat)
-    if s.joint_ux1.dims[1] != m.n_x1:
-        raise UsageError(
-            f"joint_ux1 input axis has size {s.joint_ux1.dims[1]}, model has {m.n_x1}"
-        )
-    if s.test_channel.shape[0] != m.n_yr:
-        raise UsageError(
-            f"test_channel output axis has size {s.test_channel.shape[0]}, "
-            f"model has {m.n_yr}"
-        )
+    for axis, size, n in (("joint_ux1 input", s.joint_ux1.dims[1], m.n_x1),
+                          ("test_channel output", s.test_channel.shape[0], m.n_yr)):
+        if size != n:
+            raise UsageError(f"{axis} axis has size {size}, model has {n}")
 
 
 def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
@@ -305,10 +296,9 @@ _REFINE_ROUNDS = 16
 
 
 def _deterministic_test(n_yr: int, card_u: int, card_yhat: int, lossless: bool) -> np.ndarray:
-    """q[u, y_r, yhat] mapping y_r to itself (clipped to the alphabet) or to 0."""
+    """q[u, y_r, yhat] mapping y_r to itself or to 0."""
     q = np.zeros((card_u, n_yr, card_yhat))
-    for r in range(n_yr):
-        q[:, r, min(r, card_yhat - 1) if lossless else 0] = 1.0
+    q[:, np.arange(n_yr), np.arange(n_yr) if lossless else 0] = 1.0
     return q
 
 
@@ -450,15 +440,15 @@ def _feasible(lhs: float, r1: float) -> bool:
     return lhs <= r1 + SolveConfig.feas_tol
 
 
-def _fold(lam: float, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray],
-          card_u: int) -> tuple[np.ndarray, np.ndarray]:
+def _fold(lam: float, a: tuple[np.ndarray, np.ndarray],
+          b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Time sharing lam : 1 - lam of two schemes, folded into one decode layer.
 
     The time-sharing variable becomes part of U: the used rows of ``a`` then
     those of ``b``, scaled by their weights, each with its own test channel.
     """
-    joint = np.zeros((card_u, a[0].shape[1]))
-    test = _deterministic_test(a[1].shape[1], card_u, a[1].shape[2], lossless=False)
+    joint, test = np.zeros_like(a[0]), np.zeros_like(a[1])
+    test[..., 0] = 1.0  # rows left unused map every y_r to label 0
     k = 0
     for weight, (j, q) in ((lam, a), (1.0 - lam, b)):
         used = j.sum(axis=1) > 0.0
@@ -504,10 +494,12 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     while its pool grows. A start's search also ends in the round its
     group's chord stalls (rises by at most ``_BA_GAP`` bits); its points stay
     in the group's pool, and a group of one start is searched once, through
-    that pool. The best chord of a group that fits card_u, or the best
+    that pool. The best chord of a group that fits |U|, or the best
     feasible point, is realised by time sharing folded into U.
     The returned scheme is re-evaluated exactly: the result is a certified
     lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
+    U takes the support lemma's |X1| + 3 values and Yhat the |Y_R| values
+    the search can reach; ``cfg``'s fields must be integers, not ``bool``.
 
     A round whose best chord reaches ``cutset_discrete(m) - _BA_GAP`` realises
     and certifies that pick at once, and returns it if it is feasible and
@@ -520,17 +512,25 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     ``round cap``.
     """
     cfg = cfg or SolveConfig()
+    budget = {}
     for name, least in (("restarts", 1), ("max_iters", 0), ("seed", 0)):
-        if getattr(cfg, name) < least:
+        value = getattr(cfg, name)
+        try:  # a numpy integer becomes an int; a bool, numpy's too, is refused
+            budget[name] = operator.index(None if isinstance(value, bool) else value)
+        except TypeError:
+            raise UsageError(f"solve_capacity: {name} must be an integer, got {value!r}") from None
+        if budget[name] < least:
             raise UsageError(f"solve_capacity: {name} must be >= {least}")
+    restarts, max_iters, seed = budget.values()
     if m.n_x1 * m.n_yr * m.n_z > _PRODUCT_CAP:
         raise UsageError(
             f"model product |X1||Y_R||Z| = {m.n_x1 * m.n_yr * m.n_z} exceeds "
             f"the cap {_PRODUCT_CAP}"
         )
-    card_u = cfg.card_u if cfg.card_u is not None else m.n_x1 + 3
-    card_yhat = cfg.card_yhat if cfg.card_yhat is not None else card_u * m.n_yr + 1
-    _check_cards(m, card_u, card_yhat)
+    # The support lemma allows |U||Y_R| + 1 labels of Yhat, but both starting
+    # test channels use only the first |Y_R|, the q loop keeps an empty label
+    # empty and the p update keeps the support of p(u, x1): no search fills more.
+    card_u, card_yhat = m.n_x1 + 3, m.n_yr
 
     caps = link_capacities(m)
     r1, r2 = caps.r1, caps.r2
@@ -541,7 +541,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     # pools of (joint, q[u, y_r, yhat], R, C): one per start, one per p(x1)
     groups: dict[bytes, list] = {}
     searches = []  # (pool searched, its group's pool): one pool for a group's search
-    for start in itertools.islice(_starts(m.n_x1, card_u, cfg.seed), cfg.restarts):
+    for start in itertools.islice(_starts(m.n_x1, card_u, seed), restarts):
         group = groups.setdefault(start.sum(axis=0).tobytes(), [])
         pool = list(zip((start, start), fixed,
                         *_Expression(base, np.stack([start, start])).terms(fixed)[:2]))
@@ -552,18 +552,14 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     searches += [(group, group) for group in groups.values() if len(group) > 2]
 
     def certified(joint: np.ndarray, test: np.ndarray):
-        scheme = AuxiliaryScheme(
-            joint_ux1=JointPmf(joint, axis_labels=("U", "X1")),
-            test_channel=test.transpose(1, 0, 2),
-            card_u=card_u,
-            card_yhat=card_yhat,
-        )
+        scheme = AuxiliaryScheme(JointPmf(joint, axis_labels=("U", "X1")),
+                                 test.transpose(1, 0, 2), card_u, card_yhat)
         return (scheme,) + _scheme_terms(base, scheme)
 
     def pick() -> tuple[AuxiliaryScheme, float, float]:
         """(scheme, rate without R2, constraint value) of the pools' best.
 
-        The best group chord that fits card_u, realised by time sharing
+        The best group chord that fits |U|, realised by time sharing
         folded into U, where it beats the best feasible point and its exact
         re-evaluation is feasible; else that point. Either is re-evaluated
         exactly.
@@ -576,7 +572,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
         found = certified(single[0], single[1])
         if chord is not None and chord[0] > single[2]:
             _, lam, a, b = chord
-            cand = certified(*_fold(lam, a[:2], b[:2], card_u))
+            cand = certified(*_fold(lam, a[:2], b[:2]))
             if _feasible(cand[2], r1) and cand[1] > found[1]:
                 found = cand
         return found
@@ -596,6 +592,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
             rate, _, a, b = chord
             if pool is group and rate - best[id(pool)] <= _BA_GAP:
                 stalled.add(id(group))
+            # exact on purpose: a rise threshold of 1e-12 (_BA_GAP) lost up to 1.5e-7 (4.1e-6) bits
             if rate > best[id(pool)]:
                 best[id(pool)] = rate
                 slope = (b[2] - a[2]) / (b[3] - a[3])
@@ -613,7 +610,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
         rows = {(id(e), slope): (e, group) for _, group, ends, slope in rising for e in ends}
         ascended = _ascent(base, np.stack([e[0] for e, _ in rows.values()]),
                            np.stack([e[1] for e, _ in rows.values()]),
-                           np.array([slope for _, slope in rows]), cfg.max_iters)
+                           np.array([slope for _, slope in rows]), max_iters)
         ascended_rows += len(rows)
         points = dict(zip(rows, zip(*ascended)))
         for key, (_, group) in rows.items():
@@ -640,8 +637,8 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
         best_scheme=scheme,
         feasible=_feasible(lhs, r1),
         constraint_slack=r1 - lhs,
-        restarts_used=cfg.restarts,
-        seed=cfg.seed,
+        restarts_used=restarts,
+        seed=seed,
     )
 
 

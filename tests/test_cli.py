@@ -245,6 +245,22 @@ class TestSolveCommand:
         assert main(["solve", "--model", str(model), "--out", str(out)]) == 2
         assert "delta" in capsys.readouterr().err
 
+    def test_unknown_model_field(self, tmp_path, capsys):
+        payload = model_to_dict(embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25)))
+        payload["r1_pipes"] = payload.pop("r1_pipe")
+        out = tmp_path / "report.json"
+        assert main(["solve", "--model", str(_write_model(tmp_path, payload)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: r1_pipes: unknown field\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--card-u", "--card-yhat"])
+    def test_no_cardinality_flags(self, tmp_path, flag):
+        model = _write_model(tmp_path, BIN_MODEL)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--model", str(model), "--out", str(tmp_path / "r.json"), flag, "3"])
+        assert exc.value.code == 2
+
     def test_missing_model_file_is_io_error(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["solve", "--model", str(tmp_path / "nope.json"), "--out", str(out)]) == 4

@@ -362,6 +362,23 @@ class TestModelFiles:
         with pytest.raises(ValidationError, match="unknown model type"):
             model_from_dict({"type": "quantum"})
 
+    @pytest.mark.parametrize("model, key", [
+        (BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25), "p_zz"),
+        (embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25)), "r1_pipes"),
+    ])
+    def test_unknown_field_rejected(self, model, key):
+        # a misspelled r1_pipe would leave the relay link on chan_rd unseen
+        d = model_to_dict(model)
+        d[key] = 0.25
+        with pytest.raises(ValidationError, match=f"^{key}: unknown field$"):
+            model_from_dict(d)
+
+    def test_unknown_alphabet_rejected(self):
+        d = model_to_dict(embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25)))
+        d["alphabets"]["w"] = 2
+        with pytest.raises(ValidationError, match="^alphabets.w: unknown field$"):
+            model_from_dict(d)
+
     def test_alphabet_mismatch(self):
         m = model_to_dict(embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25)))
         m["alphabets"]["yr"] = 3

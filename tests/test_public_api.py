@@ -59,5 +59,5 @@ def test_tolerances_are_not_settable():
         assert list(inspect.signature(fn).parameters)[1:] == []
     assert "feas_tol" not in inspect.signature(relaycap.brute_force_capacity).parameters
     fields = [f.name for f in dataclasses.fields(relaycap.SolveConfig)]
-    assert fields == ["restarts", "max_iters", "seed", "card_u", "card_yhat"]
+    assert fields == ["restarts", "max_iters", "seed"]
     assert relaycap.SolveConfig().feas_tol == relaycap.SolveConfig.feas_tol == 1e-9

@@ -188,12 +188,36 @@ class TestSolveCapacity:
         with pytest.raises(UsageError):
             solve_capacity(big)
 
-    def test_cardinality_overrides(self):
-        m = _bin_model(0.1)
-        rep = solve_capacity(m, SolveConfig(restarts=2, max_iters=200, card_u=1, card_yhat=2))
-        assert rep.best_scheme.card_u == 1
-        with pytest.raises(UsageError):
-            solve_capacity(m, SolveConfig(card_u=9))
+    @pytest.mark.parametrize("knob", ["card_u", "card_yhat"])
+    def test_cardinality_knobs_removed(self, knob):
+        with pytest.raises(TypeError):
+            SolveConfig(**{knob: 1})
+
+    @pytest.mark.parametrize("model", [
+        lambda: _bin_model(0.1),
+        lambda: embed_parallel_binary(ParallelBinaryMrcd(delta=0.1, p_z=0.15, r1=1.2)),
+    ], ids=["binary", "fig4"])
+    def test_default_solve_sizes_u_and_yhat_from_the_model(self, model):
+        m = model()
+        scheme = solve_capacity(m).best_scheme
+        assert (scheme.card_u, scheme.card_yhat) == (m.n_x1 + 3, m.n_yr)
+        assert scheme.test_channel.shape == (m.n_yr, m.n_x1 + 3, m.n_yr)
+
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", np.int64(2)), ("max_iters", np.int32(0)), ("seed", np.uint8(3)),
+        ("restarts", 2.5), ("max_iters", 1.5), ("seed", "3"), ("seed", None),
+        ("restarts", True), ("max_iters", False), ("seed", np.True_),
+    ])
+    def test_budget_fields_read_as_ints(self, field, value):
+        cfg = dataclasses.replace(SolveConfig(restarts=2, max_iters=0), **{field: value})
+        if not isinstance(value, np.integer):  # numpy's bool is not one either
+            with pytest.raises(UsageError, match=f"^solve_capacity: {field} must be an integer"):
+                solve_capacity(_bin_model(0.1), cfg)
+            return
+        rep = solve_capacity(_bin_model(0.1), cfg)
+        assert type(rep.restarts_used) is int and type(rep.seed) is int
+        assert (rep.restarts_used, rep.seed) == (cfg.restarts, cfg.seed)
+        assert json.loads(json.dumps(report_to_dict(rep)))["seed"] == cfg.seed
 
     @pytest.mark.parametrize("restarts", [2, 4])
     def test_negative_seed_rejected(self, restarts):
@@ -366,10 +390,13 @@ class TestStartPricing:
         assert rate == pytest.approx(self.FIG4_D010, rel=0.0, abs=1e-12)
 
     def test_debug_record_counts_priced_out_starts(self, caplog):
+        # the decode-only start's two points share one rate (U = X1 leaves
+        # I(X1; Yhat | U, Z) = 0), so its chord has slope 0 up to rounding:
+        # here its rise reads -4.4e-16 bits and its ends are never ascended
         with caplog.at_level(logging.DEBUG, logger="relaycap.solver"):
             solve_capacity(self._fig4_d010(), self.STRUCTURED)
         (record,) = caplog.records
-        assert ("7 rounds, 22 ascent rows, 1 starts stopped by their group, stopped: "
+        assert ("7 rounds, 20 ascent rows, 1 starts stopped by their group, stopped: "
                 in record.getMessage())
 
     def test_no_pool_holds_a_point_twice(self, monkeypatch):
@@ -456,6 +483,30 @@ class TestQLoop:
                 rate, lhs, _ = ex.rows([0]).terms(q)
                 _, value, _ = solver._q_loop(ex.rows([0]), q, s)
                 assert value[0] >= rate[0] - s[0] * lhs[0] - 1e-12
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "constant"])
+    def test_ascent_leaves_labels_past_yr_empty(self, model, lossless):
+        # why solve_capacity gives Yhat |Y_R| labels: from a seeded start (full
+        # support) and a starting test channel on the first |Y_R| labels of a
+        # table as wide as the support lemma allows, p and q updates never put
+        # mass on a later label
+        m = self.MODELS[model]()
+        card_u = m.n_x1 + 3
+        card_yhat = card_u * m.n_yr + 1
+        starts = itertools.islice(solver._starts(m.n_x1, card_u, 5), 16)
+        seeded = [start for start in starts if (start > 0.0).all()][:3]
+        slopes = np.array([0.05, 0.3, 0.9])
+        joint = np.repeat(np.stack(seeded), slopes.size, axis=0)
+        q0 = solver._deterministic_test(m.n_yr, card_u, card_yhat, lossless)
+        base = solver._base(m)
+        q0 = np.broadcast_to(q0, joint.shape[:1] + q0.shape)
+        joint_out, q, _, _ = solver._ascent(base, joint, q0, np.tile(slopes, len(seeded)),
+                                            max_iters=20)
+        assert not np.array_equal(joint_out, joint)  # the p updates ran
+        mass = np.einsum("bux,zxr,burh->bh", joint_out, base, q)
+        assert np.all(mass[:, m.n_yr:] == 0.0)
+        np.testing.assert_allclose(mass.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestBruteForce:
