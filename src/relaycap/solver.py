@@ -20,9 +20,10 @@ Starts that share p(x1) also search their group's joint pool. A search goes
 on while its pool grows, and a start's search ends in the round its group's
 chord stalls (rises by at most ``_BA_GAP`` bits); its points stay in the
 group's pool.
-The envelope at R1 is realised by time sharing folded into U and re-evaluated
-exactly, so the result is a certified lower bound on the capacity,
-deterministic for a fixed seed. The search also stops as soon as that
+The envelope at R1 is realised by time sharing folded into U, reduced to the
+support lemma's |U| = |X1| + 3 rows by its Caratheodory step (``_fold``), and
+re-evaluated exactly, so the result is a certified lower bound on the
+capacity, deterministic for a fixed seed. The search also stops once that
 certified rate meets the cut-set bound to within its Blahut-Arimoto
 certificate ``_BA_GAP``: the bound is then the capacity, so the stop forgoes
 at most ``_BA_GAP`` bits (plus the rounding of the feasibility tolerance), and
@@ -311,8 +312,8 @@ def _starts(n_x1: int, card_u: int, seed: int) -> Iterator[np.ndarray]:
     """
     xs = np.arange(n_x1)
     p_x1 = np.full(n_x1, 1.0 / n_x1)
-    labels = [np.zeros(n_x1, dtype=int), xs % card_u]
-    if n_x1 > 2 and card_u > 1:
+    labels = [np.zeros(n_x1, dtype=int), xs]
+    if n_x1 > 2:
         # a partition {A, complement}, listed once with x = n_x1 - 1 outside A
         sizes = sorted(range(1, n_x1), key=lambda k: (abs(n_x1 - 2 * k), k))
         labels = itertools.chain(labels, (
@@ -440,38 +441,47 @@ def _feasible(lhs: float, r1: float) -> bool:
     return lhs <= r1 + SolveConfig.feas_tol
 
 
-def _fold(lam: float, a: tuple[np.ndarray, np.ndarray],
+def _fold(base: np.ndarray, lam: float, a: tuple[np.ndarray, np.ndarray],
           b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Time sharing lam : 1 - lam of two schemes, folded into one decode layer.
 
     The time-sharing variable becomes part of U: the used rows of ``a`` then
     those of ``b``, scaled by their weights, each with its own test channel.
+    Where they outnumber |U| = |X1| + 3, the support lemma's Caratheodory step
+    moves the row weights along a null vector of the rows' p(x1 | u),
+    I(X1; Yhat | Z, u), I(Y_R; Yhat | Z, u) and H(Y_R | u) until a row empties,
+    keeping p(x1) (so H(Y_R)), the rate and the constraint value.
     """
     joint, test = np.zeros_like(a[0]), np.zeros_like(a[1])
     test[..., 0] = 1.0  # rows left unused map every y_r to label 0
-    k = 0
-    for weight, (j, q) in ((lam, a), (1.0 - lam, b)):
-        used = j.sum(axis=1) > 0.0
-        n = int(used.sum())
-        joint[k:k + n] = weight * j[used]
-        test[k:k + n] = q[used]
-        k += n
+    rows, tests = (np.concatenate(t) for t in zip(*(
+        (weight * j[u], q[u]) for weight, (j, q) in ((lam, a), (1.0 - lam, b))
+        for u in [weight * j.sum(axis=1) > 0.0])))
+    if len(rows) > len(joint):
+        p_u = rows.sum(axis=1)
+        cond = rows / p_u[:, None]
+        ex = _Expression(base, cond[:, None])
+        per_row = np.vstack([cond.T, *ex.terms(tests[:, None])[:2], _neg_xlogx(ex.p_ur, (1, 2))])
+        while len(p_u) > len(joint):
+            v = np.linalg.svd(per_row)[2][-1]  # sums to 0, as each p(x1 | u) sums to 1
+            step = np.where(v > 0.0, p_u / np.where(v > 0.0, v, 1.0), math.inf)
+            keep = np.arange(len(p_u)) != np.argmin(step)
+            p_u = np.maximum(p_u - step.min() * v, 0.0)[keep]
+            cond, tests, per_row = cond[keep], tests[keep], per_row[:, keep]
+        rows = p_u[:, None] * cond
+    joint[:len(rows)], test[:len(rows)] = rows, tests
     return joint, test
 
 
-def _chord(pool: list, r1: float, card_u: int | None = None) -> tuple | None:
+def _chord(pool: list, r1: float) -> tuple | None:
     """The segment at r1 of the pool's upper concave envelope: (rate, lam, a, b).
 
     Point a meets the pipe constraint, point b exceeds it and lam : 1 - lam
-    of them meets it with equality; given ``card_u``, their used rows of U
-    must fit it. None when no pair qualifies.
+    of them meets it with equality. None when no pair qualifies.
     """
     rate = np.array([pt[2] for pt in pool])
     lhs = np.array([pt[3] for pt in pool])
     ok = (lhs[:, None] <= r1) & (lhs[None, :] > r1)
-    if card_u is not None:
-        used = (np.stack([pt[0] for pt in pool]).sum(axis=2) > 0.0).sum(axis=1)
-        ok &= used[:, None] + used[None, :] <= card_u
     if not ok.any():
         return None
     span = np.where(ok, lhs[None, :] - lhs[:, None], 1.0)
@@ -494,9 +504,9 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     while its pool grows. A start's search also ends in the round its
     group's chord stalls (rises by at most ``_BA_GAP`` bits); its points stay
     in the group's pool, and a group of one start is searched once, through
-    that pool. The best chord of a group that fits |U|, or the best
-    feasible point, is realised by time sharing folded into U.
-    The returned scheme is re-evaluated exactly: the result is a certified
+    that pool. The best group chord (the one its search climbed, reduced to
+    |U| rows by ``_fold``) or the best feasible point is realised by time
+    sharing folded into U and re-evaluated exactly: the result is a certified
     lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
     U takes the support lemma's |X1| + 3 values and Yhat the |Y_R| values
     the search can reach; ``cfg``'s fields must be integers, not ``bool``.
@@ -523,10 +533,8 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
             raise UsageError(f"solve_capacity: {name} must be >= {least}")
     restarts, max_iters, seed = budget.values()
     if m.n_x1 * m.n_yr * m.n_z > _PRODUCT_CAP:
-        raise UsageError(
-            f"model product |X1||Y_R||Z| = {m.n_x1 * m.n_yr * m.n_z} exceeds "
-            f"the cap {_PRODUCT_CAP}"
-        )
+        raise UsageError(f"model product |X1||Y_R||Z| = {m.n_x1 * m.n_yr * m.n_z} "
+                         f"exceeds the cap {_PRODUCT_CAP}")
     # The support lemma allows |U||Y_R| + 1 labels of Yhat, but both starting
     # test channels use only the first |Y_R|, the q loop keeps an empty label
     # empty and the p update keeps the support of p(u, x1): no search fills more.
@@ -559,20 +567,18 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     def pick() -> tuple[AuxiliaryScheme, float, float]:
         """(scheme, rate without R2, constraint value) of the pools' best.
 
-        The best group chord that fits |U|, realised by time sharing
-        folded into U, where it beats the best feasible point and its exact
-        re-evaluation is feasible; else that point. Either is re-evaluated
-        exactly.
+        The best group chord, the one its search climbed, realised by ``_fold``
+        in |U| rows, where it beats the best feasible point and its exact
+        re-evaluation is feasible; else that point, re-evaluated exactly.
         """
-        chord = max((c for group in groups.values()
-                     if (c := _chord(group, r1, card_u)) is not None),
+        chord = max((c for group in groups.values() if (c := _chord(group, r1)) is not None),
                     key=lambda c: c[0], default=None)
         single = max((pt for group in groups.values() for pt in group
                       if _feasible(pt[3], r1)), key=lambda pt: pt[2])
         found = certified(single[0], single[1])
         if chord is not None and chord[0] > single[2]:
             _, lam, a, b = chord
-            cand = certified(*_fold(lam, a[:2], b[:2]))
+            cand = certified(*_fold(base, lam, a[:2], b[:2]))
             if _feasible(cand[2], r1) and cand[1] > found[1]:
                 found = cand
         return found
@@ -595,9 +601,9 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
             # exact on purpose: a rise threshold of 1e-12 (_BA_GAP) lost up to 1.5e-7 (4.1e-6) bits
             if rate > best[id(pool)]:
                 best[id(pool)] = rate
-                slope = (b[2] - a[2]) / (b[3] - a[3])
-                if slope > 0.0:
-                    rising.append((pool, group, (a, b), slope))
+                # flat up to rounding, as the U = X1 start's chord is: not ascended
+                if b[2] - a[2] > _BA_GAP:
+                    rising.append((pool, group, (a, b), (b[2] - a[2]) / (b[3] - a[3])))
         found = pick() if r2 + max(best.values()) >= bound else None
         if found is not None and _feasible(found[2], r1) and r2 + found[1] >= bound:
             stop = "cutset met"
@@ -632,14 +638,8 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
                "group, stopped: %s", rounds, ascended_rows, stopped, stop)
 
     scheme, rate, lhs = found or pick()
-    return SolveReport(
-        best_rate=r2 + rate,
-        best_scheme=scheme,
-        feasible=_feasible(lhs, r1),
-        constraint_slack=r1 - lhs,
-        restarts_used=restarts,
-        seed=seed,
-    )
+    return SolveReport(best_rate=r2 + rate, best_scheme=scheme, feasible=_feasible(lhs, r1),
+                       constraint_slack=r1 - lhs, restarts_used=restarts, seed=seed)
 
 
 # ---------------------------------------------------------------------------

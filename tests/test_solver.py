@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -371,14 +372,18 @@ class TestStartPricing:
 
     @staticmethod
     def _chorded_pools(monkeypatch) -> list:
-        """(pool length, distinct points, pool id) of every search chord."""
+        """(pool length, distinct points, pool id) of every search chord.
+
+        The final pick chords the group pools once more; only the search loop
+        of ``solve_capacity`` itself is recorded.
+        """
         seen = []
         chord = solver._chord
 
-        def recorded(pool, r1, card_u=None):
-            if card_u is None:
+        def recorded(pool, r1):
+            if sys._getframe(1).f_code.co_name == "solve_capacity":
                 seen.append((len(pool), len({id(pt) for pt in pool}), id(pool)))
-            return chord(pool, r1, card_u)
+            return chord(pool, r1)
 
         monkeypatch.setattr(solver, "_chord", recorded)
         return seen
@@ -424,6 +429,73 @@ class TestStartPricing:
             if rate < rate_pinned - 1e-9:
                 fallen[i] = rate - rate_pinned
         assert fallen == {}
+
+    # certified rates at SolveConfig() of the eight bit-pipe models that gained
+    # most once every chord was realised by the reducing fold: their best
+    # chords touch seeded starts, whose points use all |X1| + 3 rows of U
+    DEFAULT_GAINS = {
+        23: 0.3717549933051765, 26: 0.6512282557159743, 18: 0.02121464927469674,
+        30: 0.3032089454110203, 10: 0.2547951928447625, 34: 0.4797623683501353,
+        38: 0.08735613789107122, 32: 0.12870241044496344,
+    }
+
+    @pytest.mark.parametrize("i", sorted(DEFAULT_GAINS), ids=lambda i: f"bit-pipe-{i}")
+    def test_default_rates_reach_seeded_chords(self, i):
+        rate = solve_capacity(_bit_pipe_model(i), SolveConfig()).best_rate
+        assert rate >= self.DEFAULT_GAINS[i] - 1e-9
+
+    @pytest.mark.parametrize("tilt", [1e-15, -1e-15], ids=["up", "down"])
+    def test_flat_decode_only_chord_is_not_ascended(self, tilt, monkeypatch):
+        # U = X1 leaves I(X1; Yhat | U, Z) = 0, so the decode-only start's
+        # lossless and constant points share one rate; a last-bit tilt of the
+        # rates must not decide whether its chord is ascended
+        terms = solver._Expression.terms
+
+        def tilted(self, q):
+            rate, lhs, post = terms(self, q)
+            return rate + tilt * lhs, lhs, post
+
+        m = self._fig4_d010()
+        decode_only = next(itertools.islice(solver._starts(m.n_x1, m.n_x1 + 3, 0), 1, None))
+        sizes = []
+        chord = solver._chord
+
+        def recorded(pool, r1):
+            if all(np.array_equal(pt[0], decode_only) for pt in pool):
+                sizes.append(len(pool))
+            return chord(pool, r1)
+
+        monkeypatch.setattr(solver._Expression, "terms", tilted)
+        monkeypatch.setattr(solver, "_chord", recorded)
+        solve_capacity(m, self.STRUCTURED)
+        assert sizes and set(sizes) == {2}
+
+
+class TestReducingFold:
+    """A fold whose used rows outnumber |U| = |X1| + 3 is reduced to |U| rows
+    by the support lemma's Caratheodory step, keeping p(x1), the rate and the
+    constraint value of the time sharing."""
+
+    @pytest.mark.parametrize("i", [4, 10], ids=["x1-2", "x1-3"])
+    def test_fold_of_full_points_keeps_the_time_sharing(self, i):
+        m = _bit_pipe_model(i)  # |X1| = 2, |Y_R| = 3 and |X1| = 3, |Y_R| = 2; |Z| = 2
+        card_u, lam = m.n_x1 + 3, 0.37
+        rng = np.random.default_rng(i)
+        p_x1 = rng.dirichlet(np.ones(m.n_x1))
+        points = [(rng.dirichlet(np.ones(card_u), size=m.n_x1).T * p_x1,
+                   rng.dirichlet(np.ones(m.n_yr), size=(card_u, m.n_yr))) for _ in range(2)]
+        assert all((joint > 0.0).all() for joint, _ in points)  # 2 |U| rows in use
+
+        def evaluate(joint, q):
+            return objective(m, _scheme(joint, q.transpose(1, 0, 2), card_u, m.n_yr))
+
+        joint, q = solver._fold(solver._base(m), lam, *points)
+        assert joint.shape == (card_u, m.n_x1)
+        np.testing.assert_allclose(joint.sum(axis=0), p_x1, rtol=0.0, atol=1e-12)
+        (rate_a, lhs_a), (rate_b, lhs_b) = (evaluate(*pt) for pt in points)
+        rate, lhs = evaluate(joint, q)
+        assert rate == pytest.approx(lam * rate_a + (1.0 - lam) * rate_b, rel=0.0, abs=1e-12)
+        assert lhs == pytest.approx(lam * lhs_a + (1.0 - lam) * lhs_b, rel=0.0, abs=1e-12)
 
 
 # an even grid of multipliers in (0, 1), one batch row each
