@@ -103,7 +103,8 @@ def inv_binary_entropy(q: float) -> float:
     lo, hi = 0.0, 0.5
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < q:
+        # binary_entropy(mid) inline: mid stays in (0, 0.5), inside its domain
+        if -(mid * math.log2(mid) + (1.0 - mid) * math.log2(1.0 - mid)) < q:
             lo = mid
         else:
             hi = mid

@@ -134,14 +134,14 @@ class DiscreteOrcd:
 
 def _check_unit_interval(name: str, value: float, lo: float, hi: float) -> float:
     value = float(value)
-    if not (np.isfinite(value) and lo <= value <= hi):
+    if not (math.isfinite(value) and lo <= value <= hi):
         raise ValidationError(f"{name}: must be in [{lo}, {hi}], got {value}")
     return value
 
 
 def _check_rate(name: str, value: float) -> float:
     value = float(value)
-    if not (np.isfinite(value) and value >= 0.0):
+    if not (math.isfinite(value) and value >= 0.0):
         raise ValidationError(f"{name}: must be a finite rate >= 0, got {value}")
     return value
 
@@ -195,7 +195,7 @@ class GaussianMrcd:
 
     def __post_init__(self):
         power = float(self.power)
-        if not (np.isfinite(power) and power > 0.0):
+        if not (math.isfinite(power) and power > 0.0):
             raise ValidationError(f"power: must be > 0, got {power}")
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "rho", _check_unit_interval("rho", self.rho, -1.0, 1.0))
@@ -497,9 +497,9 @@ def load_model(path):
 
 
 def _write_json(payload, path) -> None:
-    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    """Write ``payload`` as strict (no NaN/Infinity), indented JSON with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

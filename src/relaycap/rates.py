@@ -57,7 +57,7 @@ class RatePoint:
         if self.scheme not in SCHEMES:
             raise ValidationError(f"RatePoint: unknown scheme {self.scheme!r}")
         value = float(self.value)
-        if not np.isfinite(value) or value < -1e-12:
+        if not math.isfinite(value) or value < -1e-12:
             raise ValidationError(f"RatePoint: rate must be >= 0, got {value}")
         object.__setattr__(self, "value", max(0.0, value))
         object.__setattr__(self, "meta", dict(self.meta))
@@ -140,11 +140,7 @@ def binary_pdcf(m: BinaryMrcd) -> RatePoint:
     branches give the same value at the threshold and the DF tag is reported
     there for determinism. Meta records the branch.
     """
-    df = binary_df(m)
-    cf = binary_cf(m)
-    if df.value >= cf.value:
-        return RatePoint("pdcf", df.value, meta={"branch": "df"})
-    return RatePoint("pdcf", cf.value, meta={"branch": "cf", "nu": cf.meta["nu"]})
+    return _from_df_cf("pdcf", binary_df(m), binary_cf(m))
 
 
 def binary_capacity_pz_half(m: BinaryMrcd) -> RatePoint:
@@ -156,8 +152,25 @@ def binary_capacity_pz_half(m: BinaryMrcd) -> RatePoint:
     """
     if m.p_z != 0.5:
         raise UsageError(f"binary_capacity_pz_half: requires p_z = 0.5, got {m.p_z}")
-    cf = binary_cf(m)
-    return RatePoint("capacity", cf.value, meta={"nu": cf.meta["nu"]})
+    return _from_df_cf("capacity", None, binary_cf(m))
+
+
+def _from_df_cf(
+    scheme: str, df: RatePoint | None, cf: RatePoint, power_split: bool = False
+) -> RatePoint:
+    """The pDCF or fair-state capacity point of a model, from its DF and CF points.
+
+    pDCF is max{DF, CF}, tagged DF at a tie, with the winner's meta and its
+    branch, plus the Gaussian power split alpha* (1 decodes, 0 compresses)
+    when ``power_split``. The capacity is the CF point (``df`` is unused).
+    """
+    if scheme == "capacity":
+        return RatePoint("capacity", cf.value, cf.meta)
+    branch, won = ("df", df) if df.value >= cf.value else ("cf", cf)
+    meta = {"branch": branch, **won.meta}
+    if power_split:
+        meta["alpha_star"] = 1.0 if branch == "df" else 0.0
+    return RatePoint("pdcf", won.value, meta)
 
 
 def g_alpha(alpha: float, delta: float, r1: float) -> float:
@@ -212,8 +225,9 @@ def gaussian_cf(m: GaussianMrcd) -> RatePoint:
     """min{r1, r1 - 0.5 log2((P + 2^{2 r1}(1 - rho^2)) / (P + 1 - rho^2))}.
 
     Wyner-Ziv compression of the relay observation with Gaussian test-channel
-    noise; meta records the optimal noise variance sigma_q^2 (infinite when
-    the pipe carries nothing or 2^{2 r1} rounds to 1). The log term is never
+    noise; meta records the optimal noise variance sigma_q^2, or None (JSON
+    null) where it has no finite value: the pipe carries nothing, 2^{2 r1}
+    rounds to 1 or the ratio overflows. The log term is never
     negative but can round below 0, there and at |rho| = 1, hence the cap at
     r1. Where 2^{2 r1} overflows a float the rate is its limit
     0.5 log2((P + 1 - rho^2) / (1 - rho^2)), r1 itself at |rho| = 1.
@@ -225,7 +239,8 @@ def gaussian_cf(m: GaussianMrcd) -> RatePoint:
     else:
         value = r1 if rho2 == 1.0 else 0.5 * math.log2((p + 1.0 - rho2) / (1.0 - rho2))
     sigma_q_sq = math.inf if four_r1 == 1.0 else (p + 1.0 - rho2) / (four_r1 - 1.0)
-    return RatePoint("cf", min(r1, value), meta={"sigma_q_sq": sigma_q_sq})
+    meta = {"sigma_q_sq": sigma_q_sq if sigma_q_sq < math.inf else None}
+    return RatePoint("cf", min(r1, value), meta=meta)
 
 
 def gaussian_pdcf(m: GaussianMrcd) -> RatePoint:
@@ -235,15 +250,7 @@ def gaussian_pdcf(m: GaussianMrcd) -> RatePoint:
     layer, alpha* = 1), compressing wins beyond (alpha* = 0); the DF tag is
     reported at exact equality, where both branches coincide.
     """
-    df = gaussian_df(m)
-    cf = gaussian_cf(m)
-    if df.value >= cf.value:
-        return RatePoint("pdcf", df.value, meta={"branch": "df", "alpha_star": 1.0})
-    return RatePoint(
-        "pdcf",
-        cf.value,
-        meta={"branch": "cf", "alpha_star": 0.0, "sigma_q_sq": cf.meta["sigma_q_sq"]},
-    )
+    return _from_df_cf("pdcf", gaussian_df(m), gaussian_cf(m), power_split=True)
 
 
 def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
@@ -280,6 +287,9 @@ def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
+# The schemes ``sweep`` evaluates at each grid point. The binary and Gaussian
+# pDCF and the fair-state binary capacity come from that point's DF and CF
+# through ``_from_df_cf``; parallel-binary pDCF has a formula of its own.
 _FAMILY_SCHEMES = {
     ParallelBinaryMrcd: {
         "cutset": parallel_binary_cutset,
@@ -291,13 +301,11 @@ _FAMILY_SCHEMES = {
         "cutset": binary_cutset,
         "df": binary_df,
         "cf": binary_cf,
-        "pdcf": binary_pdcf,
     },
     GaussianMrcd: {
         "cutset": gaussian_cutset,
         "df": gaussian_df,
         "cf": gaussian_cf,
-        "pdcf": gaussian_pdcf,
     },
 }
 
@@ -368,13 +376,18 @@ def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
     if np.any(np.diff(values) <= 0.0):
         raise UsageError("sweep: grid must be strictly increasing")
 
-    evaluators = dict(_FAMILY_SCHEMES[family])
+    evaluators = _FAMILY_SCHEMES[family]
+    derived = [] if family is ParallelBinaryMrcd else ["pdcf"]
     if family is BinaryMrcd and param != "p_z" and model.p_z == 0.5:
-        evaluators["capacity"] = binary_capacity_pz_half
+        derived.append("capacity")
+    power_split = family is GaussianMrcd
 
-    points: dict[str, list[RatePoint]] = {scheme: [] for scheme in evaluators}
+    points: dict[str, list[RatePoint]] = {s: [] for s in [*evaluators, *derived]}
     for x in values:
         at = dataclasses.replace(model, **{param: float(x)})
         for scheme, fn in evaluators.items():
             points[scheme].append(fn(at))
+        df, cf = points["df"][-1], points["cf"][-1]
+        for scheme in derived:
+            points[scheme].append(_from_df_cf(scheme, df, cf, power_split))
     return RateCurve(param_name=param, param_values=values, points=points)

@@ -129,6 +129,17 @@ class TestFigureCommands:
         payload = json.loads(out.read_text())
         assert payload["param_name"] == "rho"
 
+    def test_fig6_r1_zero_json_is_strict(self, tmp_path):
+        # CF has no finite noise variance when the pipe carries nothing
+        out = tmp_path / "fig6.json"
+        assert main(["fig6", "--out", str(out), "--format", "json", "--r1", "0"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert all(pt["meta"]["sigma_q_sq"] is None for pt in payload["points"]["cf"])
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["fig4", "--out", str(a)])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaycap.errors import DomainError, UsageError, ValidationError
 from relaycap.info import (
@@ -75,6 +77,29 @@ class TestInvBinaryEntropy:
     def test_forward_round_trip(self):
         for q in np.linspace(0.0, 1.0, 100):
             assert binary_entropy(inv_binary_entropy(q)) == pytest.approx(q, abs=1e-10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-0.1, 1.0))
+    # 1 - r1 and 1 - r1/2 at the fig7 (r1 = 0.25) and fig4 (r1 = 1.2) defaults
+    @example(1.0 - 0.25)
+    @example(1.0 - 0.25 / 2.0)
+    @example(1.0 - 1.2)
+    @example(1.0 - 1.2 / 2.0)
+    def test_matches_bisection_on_binary_entropy(self, q):
+        # the documented bisection, with h2 evaluated by binary_entropy itself
+        expected = 0.0 if q <= 0.0 else 0.5
+        if 0.0 < q < 1.0:
+            lo, hi = 0.0, 0.5
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if binary_entropy(mid) < q:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-12:
+                    break
+            expected = 0.5 * (lo + hi)
+        assert inv_binary_entropy(q).hex() == expected.hex()
 
 
 class TestStar:

@@ -332,6 +332,12 @@ class TestParameterValidation:
 
 
 class TestModelFiles:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_json_writer_rejects_non_finite_floats(self, tmp_path, bad):
+        # strict parsers reject the NaN and Infinity tokens json writes by default
+        with pytest.raises(ValueError):
+            models._write_json({"x": bad}, tmp_path / "out.json")
+
     @pytest.mark.parametrize(
         "model",
         [

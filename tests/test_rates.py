@@ -1,5 +1,6 @@
 """Tests for the closed-form rate and bound expressions."""
 
+import dataclasses
 import json
 import math
 
@@ -439,7 +440,41 @@ class TestSchemeOrdering:
             assert cs >= pd - 1e-12
 
 
+_SINGLE_POINT = {
+    BinaryMrcd: {"cutset": binary_cutset, "df": binary_df, "cf": binary_cf,
+                 "pdcf": binary_pdcf, "capacity": binary_capacity_pz_half},
+    GaussianMrcd: {"cutset": gaussian_cutset, "df": gaussian_df, "cf": gaussian_cf,
+                   "pdcf": gaussian_pdcf},
+    ParallelBinaryMrcd: {"cutset": parallel_binary_cutset, "df": parallel_binary_df,
+                         "cf": parallel_binary_cf, "pdcf": parallel_binary_pdcf},
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize(
+        "model, param, grid, rival",
+        [
+            (_bin(0.0), "delta", np.linspace(0.0, 0.5, 101), "cf"),
+            (BinaryMrcd(delta=0.05, p_z=0.3, r1=0.25), "p_z", np.linspace(0.0, 1.0, 101), "cf"),
+            (BinaryMrcd(delta=0.0, p_z=0.12, r1=0.25), "delta", np.linspace(0.0, 0.5, 101), "cf"),
+            (_gauss(0.0), "rho", np.linspace(-1.0, 1.0, 101), "cf"),
+            (_gauss(0.6), "r1", np.linspace(0.0, 3.0, 101), "cf"),
+            (_par(0.0), "delta", np.linspace(0.0, 0.5, 101), "pdcf"),
+        ],
+        ids=["binary-fair-state", "binary-p_z", "binary-delta", "gaussian-rho",
+             "gaussian-r1-from-0", "parallel-delta"],
+    )
+    def test_columns_equal_single_point_evaluators(self, model, param, grid, rival):
+        curve = sweep(model, param, grid)
+        evaluators = _SINGLE_POINT[type(model)]
+        for i, x in enumerate(grid):
+            at = dataclasses.replace(model, **{param: float(x)})
+            for scheme, pts in curve.points.items():
+                assert pts[i] == evaluators[scheme](at)  # scheme, value and meta
+        # the grid crosses the switch between decoding and its rival
+        ahead = _values(curve, "df") >= _values(curve, rival)
+        assert ahead.any() and not ahead.all()
+
     def test_parallel_schemes(self):
         curve = sweep(_par(0.0), "delta", np.linspace(0.0, 0.5, 11))
         assert tuple(curve.points) == ("cutset", "df", "cf", "pdcf")
