@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import re
 import sys
 from typing import NamedTuple
@@ -173,6 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use per process: parsing
+    leaves it as it was, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value starting with "-" as a flag; a grid such as
@@ -180,8 +188,7 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 2, -1, -1):
         if argv[i] == "--grid" and re.match(r"-[0-9.]", argv[i + 1]):
             argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, DomainError, UsageError) as exc:

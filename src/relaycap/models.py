@@ -253,14 +253,17 @@ def channel_capacity(w_yx: np.ndarray) -> tuple[float, np.ndarray, int, float]:
         return 0.0, np.ones(1), 0, 0.0
 
     ln2 = math.log(2.0)
-    mask = w > 0.0
-    log_w = np.where(mask, np.log(np.where(mask, w, 1.0)), 0.0)
+    log_w = np.log(np.where(w > 0.0, w, 1.0))  # log 1 = 0 at empty cells
 
     def divergences(p: np.ndarray) -> np.ndarray:
-        """d[x] = D(W(.|x) || pW) in nats; pW > 0 wherever any w[x, y] > 0."""
+        """d[x] = D(W(.|x) || pW) in nats; pW > 0 wherever any w[x, y] > 0.
+
+        An empty cell w[x, y] = 0 adds 0 * (0 - log q[y]) = +0, as q <= 1.
+        """
         q = p @ w
-        log_q = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-        return np.where(mask, w * (log_w - log_q[None, :]), 0.0).sum(axis=1)
+        terms = log_w - np.log(np.where(q > 0.0, q, 1.0))
+        terms *= w
+        return terms.sum(axis=1)
 
     p = np.full(n_in, 1.0 / n_in)
     d = divergences(p)

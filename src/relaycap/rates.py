@@ -105,9 +105,10 @@ def parallel_binary_pdcf(m: ParallelBinaryMrcd) -> RatePoint:
     meta; an argument above 1 would demand more smoothing than a fair coin,
     so it is clamped to q = 0.5 (which zeroes the compressed contribution).
     """
-    arg = 2.0 - binary_entropy(m.delta) - m.r1
+    h_delta = binary_entropy(m.delta)
+    arg = 2.0 - h_delta - m.r1
     q = 0.5 if arg > 1.0 else inv_binary_entropy(arg)
-    inner = 2.0 - binary_entropy(m.delta) - binary_entropy(star(m.delta, q))
+    inner = 2.0 - h_delta - binary_entropy(star(m.delta, q))
     return RatePoint("pdcf", min(m.r1, inner), meta={"q": q})
 
 

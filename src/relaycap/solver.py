@@ -131,16 +131,43 @@ class SolveReport:
     seed: int
 
 
-def _log2(t: np.ndarray) -> np.ndarray:
-    return np.log2(np.maximum(t, 1e-300))
+def _log2(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log2 of t with empty cells read as 1e-300, into ``out`` if given."""
+    out = np.maximum(t, 1e-300, out=out)
+    return np.log2(out, out=out)
 
 
 # _log2 of an empty cell
-_LOG_ZERO = float(_log2(np.float64(0.0)))
+_LOG_ZERO = float(np.log2(1e-300))
 
 
-def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    return -np.sum(t * _log2(t), axis=axes)
+def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...], scratch: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """-sum of t log2 t over ``axes``; ``scratch`` (t's shape) takes the
+    products and ``out`` the sums, where given."""
+    scratch = _log2(t, scratch)
+    np.multiply(t, scratch, out=scratch)
+    out = scratch.sum(axis=axes, out=out)
+    return np.negative(out, out=out)
+
+
+class _Workspace:
+    """Scratch tables reused from call to call.
+
+    ``ws(name, shape)`` is the leading slice, in that shape, of one flat
+    buffer per name, allocated by the first request and grown by a larger
+    one. Its contents are whatever the last user left there.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,7 +230,7 @@ class _Expression:
         lhs = self.i_u + np.maximum(cmi_lhs, 0.0)
         return rate, lhs, (log_uzxh, log_uzh, h_q)
 
-    def screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def screen(self, q: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(rate, lhs)[b, t] of every row b with every test channel q[t].
 
         The values of ``terms`` by the chain rule, equal to them up to float
@@ -211,21 +238,38 @@ class _Expression:
         depends on the test channel alone, so H(U, Z, X1, Yhat) - H(U, X1)
         = sum p(u, x1) H(Z, Yhat | u, x1) and sum p(u, y_r) H(q(. | y_r, u))
         are matrix products; only H(U, Z, Yhat) takes the rows x tests table.
+        Every table that grows with the tests lives in ``ws`` (a fresh
+        workspace if none is given), so the returned arrays are views into it,
+        valid until its next use.
         """
+        ws = ws or _Workspace()
         n_b, n_u, n_x = self.joint.shape
         n_z, _, n_r = self.base.shape
-        n_t = q.shape[0]
-        k = (self.base.reshape(n_z * n_x, n_r) @ q).reshape(n_t, n_u, n_z, n_x, -1)
-        h_zh = _neg_xlogx(k, (2, 4)).reshape(n_t, -1)  # H(Z, Yhat | u, x1)
-        h_cond_x = self.joint.reshape(n_b, -1) @ h_zh.T
-        h_cond_r = self.p_ur.reshape(n_b, -1) @ _neg_xlogx(q, (3,)).reshape(n_t, -1).T
+        n_t, n_h = q.shape[0], q.shape[3]
+        k = np.matmul(self.base.reshape(n_z * n_x, n_r), q,
+                      out=ws("k", (n_t, n_u, n_z * n_x, n_h))).reshape(n_t, n_u, n_z, n_x, n_h)
+        h_zh = _neg_xlogx(k, (2, 4), ws("k log k", k.shape)).reshape(n_t, -1)  # H(Z, Yhat | u, x1)
+        h_cond_x = np.matmul(self.joint.reshape(n_b, -1), h_zh.T, out=ws("h_cond_x", (n_b, n_t)))
+        h_q = _neg_xlogx(q, (3,), ws("q log q", q.shape)).reshape(n_t, -1)
+        h_cond_r = np.matmul(self.p_ur.reshape(n_b, -1), h_q.T, out=ws("h_cond_r", (n_b, n_t)))
         # p(u, z, yhat) = sum_x1 p(u, x1) p(z, yhat | u, x1), one u at a time
-        k = np.ascontiguousarray(k.transpose(1, 3, 2, 4, 0)).reshape(n_u, n_x, -1)
-        h_uzh = sum(_neg_xlogx((self.joint[:, u] @ k[u]).reshape(n_b, -1, n_t), (1,))
-                    for u in range(n_u))
+        k_u = ws("k by u", (n_u, n_x, n_z, n_h, n_t))
+        np.copyto(k_u, k.transpose(1, 3, 2, 4, 0))
+        k_u = k_u.reshape(n_u, n_x, -1)
+        h_uzh = ws("h_uzh", (n_b, n_t))
+        h_uzh[...] = 0.0
+        for u in range(n_u):
+            p_uzh = np.matmul(self.joint[:, u], k_u[u], out=ws("p_uzh", (n_b, n_z * n_h * n_t)))
+            p_uzh = p_uzh.reshape(n_b, -1, n_t)
+            h_uzh += _neg_xlogx(p_uzh, (1,), ws("p_uzh log p_uzh", p_uzh.shape),
+                                ws("h_uzh of u", (n_b, n_t)))
         h_u = _neg_xlogx(self.p_ur.sum(axis=2), (1,))[:, None]
-        rate = self.i_u[:, None] + np.maximum(h_uzh - h_u - h_cond_x, 0.0)
-        lhs = self.i_u[:, None] + np.maximum(h_uzh - self.h_uz[:, None] - h_cond_r, 0.0)
+        rate = np.subtract(h_uzh, h_u, out=ws("rate", (n_b, n_t)))
+        lhs = np.subtract(h_uzh, self.h_uz[:, None], out=ws("lhs", (n_b, n_t)))
+        for value, cond in ((rate, h_cond_x), (lhs, h_cond_r)):
+            np.subtract(value, cond, out=value)
+            np.maximum(value, 0.0, out=value)
+            np.add(self.i_u[:, None], value, out=value)
         return rate, lhs
 
     def rows(self, idx) -> "_Expression":
@@ -728,6 +772,7 @@ def brute_force_capacity(
     # axis: test k takes at column c = y_r card_u + u the grid value at digit
     # c of k in base len(cols)
     layers = _Expression(_base(m), joints)
+    ws = _Workspace()  # sized by the first chunk, the largest
     n_tests = len(cols) ** n_cols
     chunk = max(1, _BRUTE_ELEMENTS // (len(joints) * card_u * m.n_z * m.n_x1 * card_yhat))
     threshold = r1 + SolveConfig.feas_tol
@@ -738,7 +783,7 @@ def brute_force_capacity(
         combo = np.stack(np.unravel_index(idx, (len(cols),) * n_cols), axis=1)
         test = np.ascontiguousarray(
             cols[combo].reshape(len(idx), m.n_yr, card_u, card_yhat).transpose(0, 2, 1, 3))
-        rate, lhs = layers.screen(test)
+        rate, lhs = layers.screen(test, ws)
         safe = lhs < threshold - _SCREEN_MARGIN
         best_safe = max(best_safe, float(rate.max(initial=-math.inf, where=safe)))
         j, t = np.nonzero((lhs <= threshold + _SCREEN_MARGIN)

@@ -2,11 +2,16 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relaycap.cli import main
+import relaycap
+from relaycap.cli import build_parser, main
 from relaycap.models import BinaryMrcd, embed_binary, model_to_dict
 
 BIN_MODEL = {"type": "binary", "delta": 0.1, "p_z": 0.5, "r1": 0.25}
@@ -294,3 +299,33 @@ class TestClassifyCommand:
         out = tmp_path / "cases.json"
         assert main(["classify", "--model", str(model), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["cases"] == ["none"]
+
+
+class TestParserReuse:
+    def test_outputs_match_fresh_processes(self, tmp_path):
+        # main parses with one parser per process: after usage errors, its
+        # outputs equal, byte for byte, those of a fresh interpreter per command
+        model = _write_model(tmp_path, BIN_MODEL)
+        with pytest.raises(SystemExit) as exc:
+            main(["fig7", "--grid"])
+        assert exc.value.code == 2
+        assert main(["fig7", "--grid", "0:0.5", "--out", str(tmp_path / "bad.csv")]) == 2
+        commands = {
+            "cases.json": ["classify", "--model", str(model)],
+            "report.json": ["solve", "--model", str(model), "--restarts", "2", "--max-iters", "0"],
+            "fig7.json": ["fig7", "--format", "json"],
+        }
+        for name, argv in commands.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        src = str(Path(relaycap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        for name, argv in commands.items():
+            subprocess.run([sys.executable, "-m", "relaycap.cli", *argv, "--out", str(fresh / name)],
+                           check=True, env=env)
+            assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()

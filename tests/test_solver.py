@@ -48,6 +48,17 @@ def _bin_model(delta, p_z=0.5, r1=0.25) -> DiscreteOrcd:
     return embed_binary(BinaryMrcd(delta=delta, p_z=p_z, r1=r1))
 
 
+def _yr3_model() -> DiscreteOrcd:
+    """A seeded bit-pipe model with |Y_R| = 3 and |Z| = 2."""
+    return DiscreteOrcd(
+        p_z=Pmf([0.6, 0.4]),
+        chan_sr=np.random.default_rng(0).dirichlet(np.ones(3), size=(2, 2)),
+        chan_rd=np.ones((1, 2, 1)),
+        chan_sd=np.ones((1, 2, 1)),
+        r1_pipe=0.3,
+    )
+
+
 def _scheme(joint, test, card_u, card_yhat) -> AuxiliaryScheme:
     return AuxiliaryScheme(
         joint_ux1=JointPmf(joint, axis_labels=("U", "X1")),
@@ -620,13 +631,7 @@ class TestBruteForce:
         pytest.param("threshold", 0.25, 1, 2, id="1-threshold"),
     ])
     def test_matches_objective_enumeration(self, model, resolution, card_u, card_yhat):
-        m = _bin_model(0.1) if model == "anchor" else DiscreteOrcd(
-            p_z=Pmf([0.6, 0.4]),
-            chan_sr=np.random.default_rng(0).dirichlet(np.ones(3), size=(2, 2)),
-            chan_rd=np.ones((1, 2, 1)),
-            chan_sd=np.ones((1, 2, 1)),
-            r1_pipe=0.3,
-        )
+        m = _bin_model(0.1) if model == "anchor" else _yr3_model()
         steps = round(1.0 / resolution)
 
         def grid(parts):
@@ -644,6 +649,45 @@ class TestBruteForce:
             m = dataclasses.replace(m, r1_pipe=on - SolveConfig.feas_tol)
         best = max(rate for rate, lhs in schemes if lhs <= m.r1_pipe + SolveConfig.feas_tol)
         assert brute_force_capacity(m, resolution, card_u=card_u, card_yhat=card_yhat) == best
+
+    # Both runs screen their grid in one chunk by default: 125 test channels
+    # on the yr3 model at pitch 0.25, 121 on the anchor at 0.1. Chunks of 40
+    # and 50 split them into 40, 40, 40, 5 and 50, 50, 21.
+    @pytest.mark.parametrize("model, resolution, chunk", [
+        pytest.param("yr3", 0.25, 40, id="yr3"),
+        pytest.param("anchor", 0.1, 50, id="anchor"),
+    ])
+    def test_chunking_leaves_value(self, monkeypatch, model, resolution, chunk):
+        m = _bin_model(0.1) if model == "anchor" else _yr3_model()
+        sizes = []
+        screen = solver._Expression.screen
+
+        def recorded(ex, q, ws=None):
+            sizes.append(len(q))
+            return screen(ex, q, ws)
+
+        monkeypatch.setattr(solver._Expression, "screen", recorded)
+        whole = brute_force_capacity(m, resolution)
+        n_tests = sizes.pop()
+        assert not sizes
+        # elements per test channel: |joints| |U| |Z| |X1| |Yhat| at the defaults
+        n_joints = round(1.0 / resolution) + 1
+        monkeypatch.setattr(solver, "_BRUTE_ELEMENTS", chunk * n_joints * m.n_z * m.n_x1 * 2)
+        assert brute_force_capacity(m, resolution) == whole
+        assert len(sizes) >= 3 and sizes[0] == chunk and 0 < sizes[-1] < chunk
+        assert sum(sizes) == n_tests
+
+    def test_workspace_reuse_matches_fresh_screens(self):
+        # screens through one workspace, shorter then longer than the one
+        # before, equal screens through fresh workspaces bit for bit
+        m = _yr3_model()
+        rng = np.random.default_rng(5)
+        ex = solver._Expression(solver._base(m), rng.dirichlet(np.ones(4), size=6).reshape(6, 2, 2))
+        ws = solver._Workspace()
+        for n_t in (9, 4, 13):
+            q = rng.dirichlet(np.ones(3), size=(n_t, 2, m.n_yr))
+            reused = [t.tobytes() for t in ex.screen(q, ws)]
+            assert reused == [t.tobytes() for t in ex.screen(q)]
 
     def test_screen_agrees_with_terms(self):
         # every grid point of a |Y_R| = 3, |Z| = 2 model at card_u = 2,
