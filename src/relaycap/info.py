@@ -89,12 +89,12 @@ def binary_entropy(p: float) -> float:
 def inv_binary_entropy(q: float) -> float:
     """Inverse of ``binary_entropy`` restricted to [0, 0.5].
 
-    Negative arguments return 0 by convention; arguments above 1 are
-    rejected. Computed by bisection (h2 is strictly increasing on [0, 0.5])
+    Negative arguments return 0 by convention; arguments above 1, and NaN,
+    are rejected. Computed by bisection (h2 is strictly increasing on [0, 0.5])
     to absolute tolerance 1e-12 in at most 60 iterations.
     """
     q = float(q)
-    if q > 1.0:
+    if not q <= 1.0:  # NaN fails it too
         raise DomainError(f"inv_binary_entropy: q must be <= 1, got {q}")
     if q <= 0.0:
         return 0.0

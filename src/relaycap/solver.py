@@ -28,8 +28,9 @@ certified rate meets the cut-set bound to within its Blahut-Arimoto
 certificate ``_BA_GAP``: the bound is then the capacity, so the stop forgoes
 at most ``_BA_GAP`` bits (plus the rounding of the feasibility tolerance), and
 it fires only where the solve reaches the cut-set bound.
-``brute_force_capacity`` is an independent coarse-grid oracle for tiny models,
-and ``cutset_discrete`` the matching upper bound. Model and config values are
+``brute_force_capacity`` is an independent coarse-grid oracle over the
+compress-and-forward schemes (constant U) of tiny models, and
+``cutset_discrete`` the matching upper bound. Model and config values are
 never mutated during a solve.
 """
 
@@ -151,25 +152,6 @@ def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...], scratch: np.ndarray | None 
     return np.negative(out, out=out)
 
 
-class _Workspace:
-    """Scratch tables reused from call to call.
-
-    ``ws(name, shape)`` is the leading slice, in that shape, of one flat
-    buffer per name, allocated by the first request and grown by a larger
-    one. Its contents are whatever the last user left there.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
 def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product of a[i] and b[i] for every leading index i."""
     n = a.shape[0]
@@ -229,48 +211,6 @@ class _Expression:
         rate = self.i_u + np.maximum(cmi_rate, 0.0)
         lhs = self.i_u + np.maximum(cmi_lhs, 0.0)
         return rate, lhs, (log_uzxh, log_uzh, h_q)
-
-    def screen(self, q: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(rate, lhs)[b, t] of every row b with every test channel q[t].
-
-        The values of ``terms`` by the chain rule, equal to them up to float
-        rounding. p(z, yhat | u, x1) = sum_r p(z) p(y_r | x1, z) q(yhat | y_r, u)
-        depends on the test channel alone, so H(U, Z, X1, Yhat) - H(U, X1)
-        = sum p(u, x1) H(Z, Yhat | u, x1) and sum p(u, y_r) H(q(. | y_r, u))
-        are matrix products; only H(U, Z, Yhat) takes the rows x tests table.
-        Every table that grows with the tests lives in ``ws`` (a fresh
-        workspace if none is given), so the returned arrays are views into it,
-        valid until its next use.
-        """
-        ws = ws or _Workspace()
-        n_b, n_u, n_x = self.joint.shape
-        n_z, _, n_r = self.base.shape
-        n_t, n_h = q.shape[0], q.shape[3]
-        k = np.matmul(self.base.reshape(n_z * n_x, n_r), q,
-                      out=ws("k", (n_t, n_u, n_z * n_x, n_h))).reshape(n_t, n_u, n_z, n_x, n_h)
-        h_zh = _neg_xlogx(k, (2, 4), ws("k log k", k.shape)).reshape(n_t, -1)  # H(Z, Yhat | u, x1)
-        h_cond_x = np.matmul(self.joint.reshape(n_b, -1), h_zh.T, out=ws("h_cond_x", (n_b, n_t)))
-        h_q = _neg_xlogx(q, (3,), ws("q log q", q.shape)).reshape(n_t, -1)
-        h_cond_r = np.matmul(self.p_ur.reshape(n_b, -1), h_q.T, out=ws("h_cond_r", (n_b, n_t)))
-        # p(u, z, yhat) = sum_x1 p(u, x1) p(z, yhat | u, x1), one u at a time
-        k_u = ws("k by u", (n_u, n_x, n_z, n_h, n_t))
-        np.copyto(k_u, k.transpose(1, 3, 2, 4, 0))
-        k_u = k_u.reshape(n_u, n_x, -1)
-        h_uzh = ws("h_uzh", (n_b, n_t))
-        h_uzh[...] = 0.0
-        for u in range(n_u):
-            p_uzh = np.matmul(self.joint[:, u], k_u[u], out=ws("p_uzh", (n_b, n_z * n_h * n_t)))
-            p_uzh = p_uzh.reshape(n_b, -1, n_t)
-            h_uzh += _neg_xlogx(p_uzh, (1,), ws("p_uzh log p_uzh", p_uzh.shape),
-                                ws("h_uzh of u", (n_b, n_t)))
-        h_u = _neg_xlogx(self.p_ur.sum(axis=2), (1,))[:, None]
-        rate = np.subtract(h_uzh, h_u, out=ws("rate", (n_b, n_t)))
-        lhs = np.subtract(h_uzh, self.h_uz[:, None], out=ws("lhs", (n_b, n_t)))
-        for value, cond in ((rate, h_cond_x), (lhs, h_cond_r)):
-            np.subtract(value, cond, out=value)
-            np.maximum(value, 0.0, out=value)
-            np.add(self.i_u[:, None], value, out=value)
-        return rate, lhs
 
     def rows(self, idx) -> "_Expression":
         """The same expression for the batch rows ``idx`` only."""
@@ -706,8 +646,67 @@ def _simplex_grid(parts: int, steps: int) -> Iterator[np.ndarray]:
         yield np.asarray(combo, dtype=float) / steps
 
 
-# Elements of the largest table of one brute-force chunk of test channels:
-# bounds its memory at any grid size, and 1 MB tables stay in cache.
+class _Workspace:
+    """Scratch tables reused from call to call.
+
+    ``ws(name, shape)`` is the leading slice, in that shape, of one flat
+    buffer per name, allocated by the first request and grown by a larger
+    one. Its contents are whatever the last user left there.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _screen(base: np.ndarray, p_x1: np.ndarray, q: np.ndarray,
+            ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rate, lhs)[b, t] of the compress-only scheme of every input pmf
+    p_x1[b] with every test channel q[t, y_r, yhat].
+
+    The values of ``_Expression.terms`` at constant U by the chain rule, equal
+    to them up to float rounding: rate = H(Z, Yhat) - H(Z, Yhat | X1) and
+    lhs = H(Z, Yhat) - H(Z) - H(Yhat | Y_R). p(z, yhat | x1) and H(q(. | y_r))
+    depend on the test channel alone, so both conditional entropies are
+    matrix products; only H(Z, Yhat) takes the rows x tests table. Every
+    table that grows with the tests lives in ``ws`` (a fresh workspace if
+    none is given), so the returned arrays are views into it, valid until its
+    next use.
+    """
+    ws = ws or _Workspace()
+    n_z, n_x, n_r = base.shape
+    n_b, n_t, n_h = len(p_x1), len(q), q.shape[2]
+    # q[y_r, yhat, t]: every product keeps the tests as its last axis
+    q_r = ws("q by y_r", (n_r, n_h, n_t))
+    np.copyto(q_r, q.transpose(1, 2, 0))
+    h_q = _neg_xlogx(q_r, (1,), ws("q log q", q_r.shape))  # H(q(. | y_r))
+    q_r = q_r.reshape(n_r, -1)
+    k = np.matmul(base.reshape(-1, n_r), q_r,
+                  out=ws("k", (n_z * n_x, n_h * n_t))).reshape(n_z, n_x, n_h, n_t)
+    h_zh_x = _neg_xlogx(k, (0, 2), ws("k log k", k.shape))  # H(Z, Yhat | x1)
+    p_zr = np.einsum("bx,zxr->bzr", p_x1, base)
+    p_zh = np.matmul(p_zr.reshape(-1, n_r), q_r,
+                     out=ws("p_zh", (n_b * n_z, n_h * n_t))).reshape(n_b, -1, n_t)
+    h_zh = _neg_xlogx(p_zh, (1,), ws("p_zh log p_zh", p_zh.shape), ws("h_zh", (n_b, n_t)))
+    rate = np.matmul(p_x1, h_zh_x, out=ws("rate", (n_b, n_t)))
+    np.subtract(h_zh, rate, out=rate)
+    lhs = np.matmul(p_zr.sum(axis=1), h_q, out=ws("lhs", (n_b, n_t)))
+    np.subtract(h_zh, lhs, out=lhs)
+    np.subtract(lhs, _neg_xlogx(p_zr.sum(axis=2), (1,))[:, None], out=lhs)
+    for value in (rate, lhs):
+        np.maximum(value, 0.0, out=value)
+    return rate, lhs
+
+
+# Elements of the largest table of one brute-force chunk of test channels,
+# p(z, yhat) of every grid p(x1): bounds its memory at any grid size, and
+# 1 MB tables stay in cache.
 _BRUTE_ELEMENTS = 1 << 17
 
 # A grid point is evaluated exactly when its screened values leave it within
@@ -717,38 +716,28 @@ _BRUTE_ELEMENTS = 1 << 17
 _SCREEN_MARGIN = 1e-9
 
 
-def brute_force_capacity(
-    m: DiscreteOrcd,
-    resolution: float,
-    *,
-    card_u: int = 1,
-    card_yhat: int = 2,
-) -> float:
-    """Exhaustive simplex-grid search over small auxiliary schemes.
+def brute_force_capacity(m: DiscreteOrcd, resolution: float) -> float:
+    """Exhaustive simplex-grid search over compress-and-forward schemes.
 
-    Enumerates the decode-layer joint and every test-channel column on a grid
-    of pitch ``resolution`` and returns the best feasible objective: a coarse
-    but independent lower bound whose value can only grow as the resolution
-    shrinks through nested grids (e.g. 0.1 -> 0.05). Cardinalities are capped
-    at |U| <= 3, |X1| <= 2, |Yhat| <= 3 and the resolution at >= 0.05 to keep
-    the enumeration exact and affordable.
+    U is constant and Yhat binary. Enumerates p(x1) and every test-channel
+    column q(. | y_r) on a grid of pitch ``resolution`` and returns the best
+    feasible objective: a coarse but independent lower bound whose value can
+    only grow as the resolution shrinks through nested grids (e.g. 0.1 ->
+    0.05). |X1| is capped at 2 and the resolution at >= 0.05 to keep the
+    enumeration exact and affordable.
 
-    Every decode layer is scored against a chunk of test channels at once by
-    ``_Expression.screen``, which only picks the points that can decide the
-    result: a screened constraint value at most ``_SCREEN_MARGIN`` above the
-    threshold, and a screened rate at most the margin below the best rate
-    known feasible (found exactly, or screened more than the margin below the
-    threshold). The screen is within float rounding of the exact values, so
-    every other point is infeasible or beaten by a feasible one. The picked
-    points are evaluated exactly by ``_Expression.terms``, and the result is
-    the best feasible one: to the bit the value of evaluating every point.
+    Every p(x1) is scored against a chunk of test channels at once by
+    ``_screen``, which only picks the points that can decide the result: a
+    screened constraint value at most ``_SCREEN_MARGIN`` above the threshold,
+    and a screened rate at most the margin below the best rate known feasible
+    (found exactly, or screened more than the margin below the threshold).
+    The screen is within float rounding of the exact values, so every other
+    point is infeasible or beaten by a feasible one. The picked points are
+    evaluated exactly by ``_Expression.terms``, and the result is the best
+    feasible one: to the bit the value of evaluating every point.
     """
     if m.n_x1 > 2:
         raise UsageError(f"brute force caps |X1| at 2, model has {m.n_x1}")
-    if not 1 <= card_u <= 3:
-        raise UsageError(f"brute force caps card_u at 3, got {card_u}")
-    if not 1 <= card_yhat <= 3:
-        raise UsageError(f"brute force caps card_yhat at 3, got {card_yhat}")
     resolution = float(resolution)
     if not (math.isfinite(resolution) and resolution >= 0.05):
         raise UsageError(f"resolution must be a finite number >= 0.05, got {resolution}")
@@ -756,40 +745,35 @@ def brute_force_capacity(
 
     caps = link_capacities(m)
     r1, r2 = caps.r1, caps.r2
-    n_cols = m.n_yr * card_u
 
-    joints = np.stack([j.reshape(card_u, m.n_x1)
-                       for j in _simplex_grid(card_u * m.n_x1, steps)])
-    cols = np.array(list(_simplex_grid(card_yhat, steps)))
-    combos = len(joints) * len(cols) ** n_cols
+    p_x1 = np.stack(list(_simplex_grid(m.n_x1, steps)))
+    cols = np.stack(list(_simplex_grid(2, steps)))
+    n_tests = len(cols) ** m.n_yr
+    combos = len(p_x1) * n_tests
     if combos > 2_000_000:
-        raise UsageError(
-            f"{combos} grid combinations exceed the enumeration budget; "
-            "coarsen the resolution or reduce the cardinalities"
-        )
+        raise UsageError(f"{combos} grid combinations exceed the enumeration budget; "
+                         "coarsen the resolution")
 
-    # every combination of the columns q(. | y_r, u), in chunks of the test
-    # axis: test k takes at column c = y_r card_u + u the grid value at digit
-    # c of k in base len(cols)
-    layers = _Expression(_base(m), joints)
+    # every combination of the columns q(. | y_r), in chunks of the test
+    # axis: test k takes at y_r the grid value at digit y_r of k in base
+    # len(cols)
+    base = _base(m)
+    layers = _Expression(base, p_x1[:, None])
     ws = _Workspace()  # sized by the first chunk, the largest
-    n_tests = len(cols) ** n_cols
-    chunk = max(1, _BRUTE_ELEMENTS // (len(joints) * card_u * m.n_z * m.n_x1 * card_yhat))
+    chunk = max(1, _BRUTE_ELEMENTS // (len(p_x1) * m.n_z * 2))
     threshold = r1 + SolveConfig.feas_tol
     # the best exact rate found feasible, the best screened one surely feasible
     best = best_safe = -math.inf
     for lo in range(0, n_tests, chunk):
         idx = np.arange(lo, min(lo + chunk, n_tests))
-        combo = np.stack(np.unravel_index(idx, (len(cols),) * n_cols), axis=1)
-        test = np.ascontiguousarray(
-            cols[combo].reshape(len(idx), m.n_yr, card_u, card_yhat).transpose(0, 2, 1, 3))
-        rate, lhs = layers.screen(test, ws)
+        test = cols[np.stack(np.unravel_index(idx, (len(cols),) * m.n_yr), axis=1)]
+        rate, lhs = _screen(base, p_x1, test, ws)
         safe = lhs < threshold - _SCREEN_MARGIN
         best_safe = max(best_safe, float(rate.max(initial=-math.inf, where=safe)))
         j, t = np.nonzero((lhs <= threshold + _SCREEN_MARGIN)
                           & (rate >= max(best, best_safe) - _SCREEN_MARGIN))
         if j.size:
-            rate, lhs, _ = layers.rows(j).terms(test[t])
+            rate, lhs, _ = layers.rows(j).terms(test[t][:, None])
             feasible = _feasible(lhs, r1)
             if feasible.any():
                 best = max(best, float(rate[feasible].max()))

@@ -70,6 +70,11 @@ class TestInvBinaryEntropy:
         with pytest.raises(DomainError):
             inv_binary_entropy(1.0 + 1e-9)
 
+    def test_nan_rejected(self):
+        # as binary_entropy rejects it, rather than bisecting to a number
+        with pytest.raises(DomainError):
+            inv_binary_entropy(float("nan"))
+
     def test_round_trip_on_half_interval(self):
         for p in np.linspace(0.0, 0.5, 100):
             assert inv_binary_entropy(binary_entropy(p)) == pytest.approx(p, abs=1e-10)

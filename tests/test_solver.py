@@ -603,10 +603,6 @@ class TestBruteForce:
             brute_force_capacity(_bin_model(0.1), 0.01)
 
     def test_cardinality_caps(self):
-        with pytest.raises(UsageError):
-            brute_force_capacity(_bin_model(0.1), 0.1, card_u=4)
-        with pytest.raises(UsageError):
-            brute_force_capacity(_bin_model(0.1), 0.1, card_yhat=4)
         par = embed_parallel_binary(ParallelBinaryMrcd(delta=0.1, p_z=0.5, r1=0.25))
         with pytest.raises(UsageError):
             brute_force_capacity(par, 0.1)  # |X1| = 4
@@ -616,39 +612,25 @@ class TestBruteForce:
         with pytest.raises(UsageError, match="resolution"):
             brute_force_capacity(_bin_model(0.1), resolution)
 
-    # card_u = 1 on a |Y_R| = 3 model gives a row three columns, card_u = 2 on
-    # the fair-state anchor interleaves (u, y_r); on both, a column written to
-    # the wrong (u, y_r) or repeated changes the best value. card_u = 3 and
-    # |Yhat| = 3 widen the screen's tables. "threshold" moves the pipe rate to
-    # the constraint value of the best scheme at 0.3 minus feas_tol, so that
-    # the scheme sits on the feasibility threshold, inside the certificate's
-    # band. The reference evaluates every scheme of the grid through objective().
-    @pytest.mark.parametrize("model, resolution, card_u, card_yhat", [
-        pytest.param("yr3", 0.25, 1, 2, id="1"),
-        pytest.param("anchor", 0.25, 2, 2, id="2"),
-        pytest.param("anchor", 1.0, 3, 2, id="3"),
-        pytest.param("yr3", 0.5, 1, 3, id="1-yhat3"),
-        pytest.param("threshold", 0.25, 1, 2, id="1-threshold"),
-    ])
-    def test_matches_objective_enumeration(self, model, resolution, card_u, card_yhat):
-        m = _bin_model(0.1) if model == "anchor" else _yr3_model()
-        steps = round(1.0 / resolution)
-
-        def grid(parts):
-            return [np.array(c) / steps for c in itertools.product(range(steps + 1), repeat=parts)
-                    if sum(c) == steps]
-
-        joints = [g.reshape(card_u, 2) for g in grid(2 * card_u)]
-        tests = [np.array(columns).reshape(m.n_yr, card_u, card_yhat)
-                 for columns in itertools.product(grid(card_yhat), repeat=m.n_yr * card_u)]
-        schemes = [objective(m, _scheme(joint, test, card_u, card_yhat))
-                   for joint, test in itertools.product(joints, tests)]
+    # A |Y_R| = 3 model gives a test channel three columns: a column written
+    # to the wrong y_r or repeated changes the best value. "threshold" moves
+    # the pipe rate to the constraint value of the best scheme at 0.3 minus
+    # feas_tol, so that the scheme sits on the feasibility threshold, inside
+    # the certificate's band. The reference evaluates every compress-only
+    # scheme of the grid through objective().
+    @pytest.mark.parametrize("model", [pytest.param("yr3", id="1"),
+                                       pytest.param("threshold", id="1-threshold")])
+    def test_matches_objective_enumeration(self, model):
+        m = _yr3_model()
+        grid = [np.array([i, 4 - i]) / 4.0 for i in range(5)]
+        schemes = [objective(m, _scheme(p_x1[None], np.array(columns)[:, None], 1, 2))
+                   for p_x1 in grid for columns in itertools.product(grid, repeat=m.n_yr)]
         if model == "threshold":
             _, on = max((rate, lhs) for rate, lhs in schemes
                         if lhs <= m.r1_pipe + SolveConfig.feas_tol)
             m = dataclasses.replace(m, r1_pipe=on - SolveConfig.feas_tol)
         best = max(rate for rate, lhs in schemes if lhs <= m.r1_pipe + SolveConfig.feas_tol)
-        assert brute_force_capacity(m, resolution, card_u=card_u, card_yhat=card_yhat) == best
+        assert brute_force_capacity(m, 0.25) == best
 
     # Both runs screen their grid in one chunk by default: 125 test channels
     # on the yr3 model at pitch 0.25, 121 on the anchor at 0.1. Chunks of 40
@@ -660,19 +642,19 @@ class TestBruteForce:
     def test_chunking_leaves_value(self, monkeypatch, model, resolution, chunk):
         m = _bin_model(0.1) if model == "anchor" else _yr3_model()
         sizes = []
-        screen = solver._Expression.screen
+        screen = solver._screen
 
-        def recorded(ex, q, ws=None):
+        def recorded(base, p_x1, q, ws=None):
             sizes.append(len(q))
-            return screen(ex, q, ws)
+            return screen(base, p_x1, q, ws)
 
-        monkeypatch.setattr(solver._Expression, "screen", recorded)
+        monkeypatch.setattr(solver, "_screen", recorded)
         whole = brute_force_capacity(m, resolution)
         n_tests = sizes.pop()
         assert not sizes
-        # elements per test channel: |joints| |U| |Z| |X1| |Yhat| at the defaults
+        # elements per test channel of the largest table, p(z, yhat): |p(x1) grid| |Z| |Yhat|
         n_joints = round(1.0 / resolution) + 1
-        monkeypatch.setattr(solver, "_BRUTE_ELEMENTS", chunk * n_joints * m.n_z * m.n_x1 * 2)
+        monkeypatch.setattr(solver, "_BRUTE_ELEMENTS", chunk * n_joints * m.n_z * 2)
         assert brute_force_capacity(m, resolution) == whole
         assert len(sizes) >= 3 and sizes[0] == chunk and 0 < sizes[-1] < chunk
         assert sum(sizes) == n_tests
@@ -682,16 +664,16 @@ class TestBruteForce:
         # before, equal screens through fresh workspaces bit for bit
         m = _yr3_model()
         rng = np.random.default_rng(5)
-        ex = solver._Expression(solver._base(m), rng.dirichlet(np.ones(4), size=6).reshape(6, 2, 2))
+        base, p_x1 = solver._base(m), rng.dirichlet(np.ones(2), size=6)
         ws = solver._Workspace()
         for n_t in (9, 4, 13):
-            q = rng.dirichlet(np.ones(3), size=(n_t, 2, m.n_yr))
-            reused = [t.tobytes() for t in ex.screen(q, ws)]
-            assert reused == [t.tobytes() for t in ex.screen(q)]
+            q = rng.dirichlet(np.ones(2), size=(n_t, m.n_yr))
+            reused = [t.tobytes() for t in solver._screen(base, p_x1, q, ws)]
+            assert reused == [t.tobytes() for t in solver._screen(base, p_x1, q)]
 
     def test_screen_agrees_with_terms(self):
-        # every grid point of a |Y_R| = 3, |Z| = 2 model at card_u = 2,
-        # card_yhat = 3: the chain-rule screen differs from terms() by float
+        # every compress-only grid point of a |Y_R| = 3, |Z| = 2 model with
+        # binary Yhat: the chain-rule screen differs from terms() by float
         # rounding only, far inside the margin that decides what is re-evaluated
         rng = np.random.default_rng(3)
         m = DiscreteOrcd(
@@ -701,17 +683,14 @@ class TestBruteForce:
             chan_sd=np.ones((1, 2, 1)),
             r1_pipe=0.3,
         )
-        halves = [np.array(c) / 2.0 for c in itertools.product(range(3), repeat=3) if sum(c) == 2]
-        joints = np.stack([np.array(c).reshape(2, 2) / 2.0
-                           for c in itertools.product(range(3), repeat=4) if sum(c) == 2])
-        digits = np.array(list(itertools.product(range(len(halves)), repeat=6)))
-        tests = np.ascontiguousarray(
-            np.array(halves)[digits].reshape(-1, 3, 2, 3).transpose(0, 2, 1, 3))
-        ex = solver._Expression(solver._base(m), joints)
-        rate, lhs = ex.screen(tests)
+        grid = np.array([[i, 4 - i] for i in range(5)]) / 4.0
+        tests = grid[np.array(list(itertools.product(range(len(grid)), repeat=3)))]
+        base = solver._base(m)
+        rate, lhs = solver._screen(base, grid, tests)
+        ex = solver._Expression(base, grid[:, None])
         worst = 0.0
-        for j in range(len(joints)):
-            exact_rate, exact_lhs, _ = ex.rows(np.full(len(tests), j)).terms(tests)
+        for j in range(len(grid)):
+            exact_rate, exact_lhs, _ = ex.rows(np.full(len(tests), j)).terms(tests[:, None])
             worst = max(worst, np.abs(rate[j] - exact_rate).max(), np.abs(lhs[j] - exact_lhs).max())
         assert worst <= 1e-12
         assert solver._SCREEN_MARGIN >= 1000.0 * worst
@@ -722,21 +701,16 @@ class TestBruteForce:
         fine = brute_force_capacity(m, 0.05)
         assert fine >= coarse - 1e-12
 
-    # Frozen values of the oracle on the fair-state anchors, for the default
-    # cardinalities at pitch 0.1, |U| = |Yhat| = 2 at 0.2 and |Yhat| = 3 at
-    # 0.1: any reordering or batching of the enumeration must reproduce them.
+    # Frozen values of the oracle on the fair-state anchors at pitches 0.1 and
+    # 0.05: any reordering or batching of the enumeration must reproduce them.
     @pytest.mark.parametrize("delta, pinned", [
-        (0.0, (0.2364527976600277, 0.2439946188043962, 0.2499294173513218)),
-        (0.1, (0.13276067602338637, 0.13919506701645323, 0.15405932956691704)),
-        (0.25, (0.05037370134757868, 0.052745555699607705, 0.058304390300228714)),
+        (0.0, (0.2364527976600277, 0.24910211328027554)),
+        (0.1, (0.13276067602338637, 0.150458534574625)),
+        (0.25, (0.05037370134757868, 0.05662360976464065)),
     ])
     def test_anchor_values_pinned(self, delta, pinned):
         m = _bin_model(delta)
-        got = (
-            brute_force_capacity(m, 0.1),
-            brute_force_capacity(m, 0.2, card_u=2, card_yhat=2),
-            brute_force_capacity(m, 0.1, card_yhat=3),
-        )
+        got = (brute_force_capacity(m, 0.1), brute_force_capacity(m, 0.05))
         assert got == pytest.approx(pinned, abs=1e-12)
 
     def test_solver_dominates_grid(self):
