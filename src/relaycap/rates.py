@@ -141,7 +141,7 @@ def binary_pdcf(m: BinaryMrcd) -> RatePoint:
     branches give the same value at the threshold and the DF tag is reported
     there for determinism. Meta records the branch.
     """
-    return _from_df_cf("pdcf", binary_df(m), binary_cf(m))
+    return _from_df_cf(binary_df(m), binary_cf(m))
 
 
 def binary_capacity_pz_half(m: BinaryMrcd) -> RatePoint:
@@ -153,20 +153,17 @@ def binary_capacity_pz_half(m: BinaryMrcd) -> RatePoint:
     """
     if m.p_z != 0.5:
         raise UsageError(f"binary_capacity_pz_half: requires p_z = 0.5, got {m.p_z}")
-    return _from_df_cf("capacity", None, binary_cf(m))
+    cf = binary_cf(m)
+    return RatePoint("capacity", cf.value, cf.meta)
 
 
-def _from_df_cf(
-    scheme: str, df: RatePoint | None, cf: RatePoint, power_split: bool = False
-) -> RatePoint:
-    """The pDCF or fair-state capacity point of a model, from its DF and CF points.
+def _from_df_cf(df: RatePoint, cf: RatePoint, power_split: bool = False) -> RatePoint:
+    """The pDCF point of a model, from its DF and CF points.
 
     pDCF is max{DF, CF}, tagged DF at a tie, with the winner's meta and its
     branch, plus the Gaussian power split alpha* (1 decodes, 0 compresses)
-    when ``power_split``. The capacity is the CF point (``df`` is unused).
+    when ``power_split``.
     """
-    if scheme == "capacity":
-        return RatePoint("capacity", cf.value, cf.meta)
     branch, won = ("df", df) if df.value >= cf.value else ("cf", cf)
     meta = {"branch": branch, **won.meta}
     if power_split:
@@ -251,7 +248,7 @@ def gaussian_pdcf(m: GaussianMrcd) -> RatePoint:
     layer, alpha* = 1), compressing wins beyond (alpha* = 0); the DF tag is
     reported at exact equality, where both branches coincide.
     """
-    return _from_df_cf("pdcf", gaussian_df(m), gaussian_cf(m), power_split=True)
+    return _from_df_cf(gaussian_df(m), gaussian_cf(m), power_split=True)
 
 
 def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
@@ -289,8 +286,9 @@ def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
 # ---------------------------------------------------------------------------
 
 # The schemes ``sweep`` evaluates at each grid point. The binary and Gaussian
-# pDCF and the fair-state binary capacity come from that point's DF and CF
-# through ``_from_df_cf``; parallel-binary pDCF has a formula of its own.
+# pDCF come from that point's DF and CF through ``_from_df_cf``, and the
+# fair-state binary capacity is its CF point; parallel-binary pDCF has a
+# formula of its own.
 _FAMILY_SCHEMES = {
     ParallelBinaryMrcd: {
         "cutset": parallel_binary_cutset,
@@ -390,5 +388,6 @@ def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
             points[scheme].append(fn(at))
         df, cf = points["df"][-1], points["cf"][-1]
         for scheme in derived:
-            points[scheme].append(_from_df_cf(scheme, df, cf, power_split))
+            points[scheme].append(_from_df_cf(df, cf, power_split) if scheme == "pdcf"
+                                  else RatePoint("capacity", cf.value, cf.meta))
     return RateCurve(param_name=param, param_values=values, points=points)

@@ -632,44 +632,40 @@ class TestBruteForce:
         best = max(rate for rate, lhs in schemes if lhs <= m.r1_pipe + SolveConfig.feas_tol)
         assert brute_force_capacity(m, 0.25) == best
 
-    # Both runs screen their grid in one chunk by default: 125 test channels
-    # on the yr3 model at pitch 0.25, 121 on the anchor at 0.1. Chunks of 40
-    # and 50 split them into 40, 40, 40, 5 and 50, 50, 21.
+    # Each run screens its grid in one chunk, then in chunks of the bound:
+    # chunks of 40 and 50 split the 125 test channels of the yr3 model at
+    # pitch 0.25 and the 121 of the anchor at 0.1 into 40, 40, 40, 5 and 50,
+    # 50, 21; the default bound splits the 9,261 of the yr3 model at 0.05.
     @pytest.mark.parametrize("model, resolution, chunk", [
         pytest.param("yr3", 0.25, 40, id="yr3"),
         pytest.param("anchor", 0.1, 50, id="anchor"),
+        pytest.param("yr3", 0.05, None, id="yr3-default"),
     ])
     def test_chunking_leaves_value(self, monkeypatch, model, resolution, chunk):
         m = _bin_model(0.1) if model == "anchor" else _yr3_model()
-        sizes = []
+        n_joints = round(1.0 / resolution) + 1
+        n_tests = n_joints ** m.n_yr
+        sizes, tables = [], []
         screen = solver._screen
 
-        def recorded(base, p_x1, q, ws=None):
+        def recorded(base, p_x1, q):
             sizes.append(len(q))
-            return screen(base, p_x1, q, ws)
+            # the largest table, p(z, yhat) of every grid p(x1): |Z| |Yhat| per pair
+            tables.append(len(p_x1) * m.n_z * 2 * len(q))
+            return screen(base, p_x1, q)
 
         monkeypatch.setattr(solver, "_screen", recorded)
+        bound = solver._BRUTE_ELEMENTS if chunk is None else chunk * n_joints * m.n_z * 2
+        monkeypatch.setattr(solver, "_BRUTE_ELEMENTS", n_tests * n_joints * m.n_z * 2)
         whole = brute_force_capacity(m, resolution)
-        n_tests = sizes.pop()
-        assert not sizes
-        # elements per test channel of the largest table, p(z, yhat): |p(x1) grid| |Z| |Yhat|
-        n_joints = round(1.0 / resolution) + 1
-        monkeypatch.setattr(solver, "_BRUTE_ELEMENTS", chunk * n_joints * m.n_z * 2)
+        assert sizes == [n_tests]
+        sizes.clear()
+        tables.clear()
+        monkeypatch.setattr(solver, "_BRUTE_ELEMENTS", bound)
         assert brute_force_capacity(m, resolution) == whole
-        assert len(sizes) >= 3 and sizes[0] == chunk and 0 < sizes[-1] < chunk
-        assert sum(sizes) == n_tests
-
-    def test_workspace_reuse_matches_fresh_screens(self):
-        # screens through one workspace, shorter then longer than the one
-        # before, equal screens through fresh workspaces bit for bit
-        m = _yr3_model()
-        rng = np.random.default_rng(5)
-        base, p_x1 = solver._base(m), rng.dirichlet(np.ones(2), size=6)
-        ws = solver._Workspace()
-        for n_t in (9, 4, 13):
-            q = rng.dirichlet(np.ones(2), size=(n_t, m.n_yr))
-            reused = [t.tobytes() for t in solver._screen(base, p_x1, q, ws)]
-            assert reused == [t.tobytes() for t in solver._screen(base, p_x1, q)]
+        assert len(sizes) >= 2 and max(tables) <= bound and sum(sizes) == n_tests
+        if chunk is not None:
+            assert len(sizes) >= 3 and sizes[0] == chunk and 0 < sizes[-1] < chunk
 
     def test_screen_agrees_with_terms(self):
         # every compress-only grid point of a |Y_R| = 3, |Z| = 2 model with
@@ -724,6 +720,28 @@ class TestBruteForce:
             grid_best = brute_force_capacity(m, 0.1)
             solved = solve_capacity(m, SolveConfig(restarts=8, max_iters=600)).best_rate
             assert grid_best <= solved + 1e-9
+
+    # Models where float rounding of the entropies puts the best grid rate a
+    # few ulps above the cut-set bound: a relay that hears only noise
+    # (cut-set 0), the same with |Y_R| = 4, and a one-letter X1 (the grid's
+    # single p(x1)).
+    @pytest.mark.parametrize("model, resolutions", [
+        pytest.param("noise", (0.1, 0.05), id="noise"),
+        pytest.param("noise-yr4", (0.1,), id="noise-yr4"),
+        pytest.param("x1-one", (0.25, 0.1, 0.05), id="x1-one"),
+    ])
+    def test_never_above_cutset(self, model, resolutions):
+        if model == "x1-one":
+            rng = np.random.default_rng(7)
+            chan_sr = rng.dirichlet(np.ones(3), size=(1, 2))
+            m = DiscreteOrcd(p_z=Pmf([0.3, 0.7]), chan_sr=chan_sr, chan_rd=np.ones((1, 2, 1)),
+                             chan_sd=rng.dirichlet(np.ones(2), size=(2, 2)), r1_pipe=0.4)
+        else:
+            n_yr = 4 if model == "noise-yr4" else 2
+            m = DiscreteOrcd(p_z=Pmf([0.5, 0.5]), chan_sr=np.full((2, 2, n_yr), 1.0 / n_yr),
+                             chan_rd=np.ones((1, 2, 1)), chan_sd=np.ones((1, 2, 1)), r1_pipe=0.3)
+        for resolution in resolutions:
+            assert brute_force_capacity(m, resolution) <= cutset_discrete(m)
 
 
 class TestBlahutArimotoOncePerModel:
