@@ -91,7 +91,9 @@ def inv_binary_entropy(q: float) -> float:
 
     Negative arguments return 0 by convention; arguments above 1, and NaN,
     are rejected. Computed by bisection (h2 is strictly increasing on [0, 0.5])
-    to absolute tolerance 1e-12 in at most 60 iterations.
+    to absolute tolerance 1e-12. The bracket stays dyadic, so its width
+    0.5 * 2^-k is exact and every call takes exactly 39 halvings, the first
+    k with 0.5 * 2^-k <= 1e-12.
     """
     q = float(q)
     if not q <= 1.0:  # NaN fails it too

@@ -10,6 +10,7 @@ CSV export.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -63,6 +64,14 @@ class RatePoint:
         object.__setattr__(self, "meta", dict(self.meta))
 
 
+@functools.lru_cache(maxsize=1)
+def _cf_noise(q: float) -> float:
+    """``inv_binary_entropy(q)``, kept for the last q: the CF compression
+    noise depends on r1 alone, so a sweep of any other field asks for the
+    same one at every point."""
+    return inv_binary_entropy(q)
+
+
 # ---------------------------------------------------------------------------
 # Parallel binary symmetric multihop channel
 # ---------------------------------------------------------------------------
@@ -89,10 +98,7 @@ def parallel_binary_cf(m: ParallelBinaryMrcd) -> RatePoint:
     crossover ``nu`` (recorded in meta); for r1 >= 2 the outputs fit through
     the pipe losslessly and nu = 0.
     """
-    if m.r1 >= 2.0:
-        nu = 0.0
-    else:
-        nu = inv_binary_entropy(1.0 - m.r1 / 2.0)
+    nu = 0.0 if m.r1 >= 2.0 else _cf_noise(1.0 - m.r1 / 2.0)
     value = 2.0 * (1.0 - binary_entropy(star(m.delta, nu)))
     return RatePoint("cf", value, meta={"nu": nu})
 
@@ -129,7 +135,7 @@ def binary_df(m: BinaryMrcd) -> RatePoint:
 
 def binary_cf(m: BinaryMrcd) -> RatePoint:
     """1 - h2(delta * h2^{-1}(1 - r1)), via the test channel Y_R + Ber(nu)."""
-    nu = inv_binary_entropy(1.0 - m.r1)
+    nu = _cf_noise(1.0 - m.r1)
     value = 1.0 - binary_entropy(star(m.delta, nu))
     return RatePoint("cf", value, meta={"nu": nu})
 
@@ -356,6 +362,36 @@ class RateCurve:
         _write_json(payload, path)
 
 
+def _grid_models(model, param: str, xs: list[float]):
+    """``model`` with ``param`` set to each grid value, in grid order.
+
+    Every sweepable field's domain is an interval of finite floats and the
+    grid is strictly increasing, so when both ends of a finite grid pass
+    ``dataclasses.replace``'s validation, every value between them does too:
+    the points are then built without revalidating (the sweepable families
+    hold nothing but their fields). Otherwise each point goes through
+    ``dataclasses.replace`` as the sweep reaches it, and the first value
+    outside the domain raises its ``ValidationError``.
+    """
+    def at(x: float):
+        return dataclasses.replace(model, **{param: x})
+
+    try:
+        at(xs[0])
+        at(xs[-1])
+    except ValidationError:
+        return map(at, xs)
+    if not all(map(math.isfinite, xs)):  # NaN passes the increasing check
+        return map(at, xs)
+    family, fields = type(model), vars(model)
+    points = []
+    for x in xs:
+        pt = object.__new__(family)
+        vars(pt).update(fields, **{param: x})
+        points.append(pt)
+    return points
+
+
 def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
     """Evaluate every applicable scheme of ``model``'s family along ``grid``.
 
@@ -382,8 +418,7 @@ def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
     power_split = family is GaussianMrcd
 
     points: dict[str, list[RatePoint]] = {s: [] for s in [*evaluators, *derived]}
-    for x in values:
-        at = dataclasses.replace(model, **{param: float(x)})
+    for at in _grid_models(model, param, values.tolist()):
         for scheme, fn in evaluators.items():
             points[scheme].append(fn(at))
         df, cf = points["df"][-1], points["cf"][-1]

@@ -116,6 +116,12 @@ class TestFigureCommands:
         assert capsys.readouterr().err.startswith(f"error: {field}: must be")
         assert not out.exists()
 
+    def test_grid_leaving_the_domain_names_its_first_bad_value(self, tmp_path, capsys):
+        out = tmp_path / "fig7.csv"
+        assert main(["fig7", "--out", str(out), "--grid", "0:1:11"]) == 2
+        assert capsys.readouterr().err == "error: delta: must be in [0.0, 0.5], got 0.6000000000000001\n"
+        assert not out.exists()
+
     def test_fig6_pipe_rate_past_float_overflow(self, tmp_path):
         # 2^{2 r1} overflows a float at r1 = 600: CF is its limit in r1
         out = tmp_path / "fig6.csv"

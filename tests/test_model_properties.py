@@ -1,4 +1,4 @@
-"""Property suite for model JSON: round trips and fuzzed model files."""
+"""Property suite for JSON: model round trips, fuzzed model files and the file writer."""
 
 import copy
 import json
@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +17,12 @@ from relaycap.models import (
     DiscreteOrcd,
     GaussianMrcd,
     ParallelBinaryMrcd,
+    _write_json,
     embed_binary,
     model_from_dict,
     model_to_dict,
 )
+from relaycap.solver import SolveConfig, report_to_dict, solve_capacity
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -136,3 +139,63 @@ def test_fuzzed_model_json_fails_only_by_validation(d):
         path = Path(tmp) / "model.json"
         path.write_text(json.dumps(d))
         assert main(["classify", "--model", str(path), "--out", str(Path(tmp) / "cases.json")]) == expected
+
+
+# JSON trees for the file writer: str keys (non-ASCII included), tuples beside
+# lists, np.float64 beside float, -0.0, subnormals and integers past 64 bits.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LEAVES = (
+    st.none() | st.booleans() | st.text() | FINITE | FINITE.map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308])
+    | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=16,
+)
+
+
+def _stdlib_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _written(payload) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        _write_json(payload, path)
+        return path.read_bytes()
+
+
+@PROPERTY
+@given(TREES)
+def test_json_writer_matches_the_stdlib(payload):
+    assert _written(payload) == _stdlib_text(payload).encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), np.bool_(True), {1, 2}, b"x"],
+                         ids=["np-int64", "np-bool", "set", "bytes"])
+def test_json_writer_refuses_other_types_as_the_stdlib(bad):
+    with pytest.raises(TypeError):
+        _stdlib_text({"a": [bad]})
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _written({"a": [bad]})
+
+
+@pytest.mark.parametrize("figure", ["fig4", "fig6", "fig7"])
+def test_json_writer_matches_the_stdlib_on_figures(figure):
+    # json.loads gives back every float exactly, so re-encoding a file with
+    # the stdlib reproduces its bytes only if the writer laid it out the same
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        assert main([figure, "--format", "json", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+    assert text == _stdlib_text(json.loads(text))
+
+
+def test_json_writer_matches_the_stdlib_on_a_solve_report():
+    report = solve_capacity(embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25)),
+                            SolveConfig(restarts=2, max_iters=0))
+    payload = report_to_dict(report)
+    assert _written(payload) == _stdlib_text(payload).encode("utf-8")

@@ -332,11 +332,25 @@ class TestParameterValidation:
 
 
 class TestModelFiles:
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, pytest.param(np.float64(math.nan), id="np-nan")]
+    )
     def test_json_writer_rejects_non_finite_floats(self, tmp_path, bad):
         # strict parsers reject the NaN and Infinity tokens json writes by default
         with pytest.raises(ValueError):
             models._write_json({"x": bad}, tmp_path / "out.json")
+
+    @pytest.mark.parametrize("bad, error", [(math.nan, ValueError), (np.int64(3), TypeError)],
+                             ids=["nan", "int64"])
+    def test_failed_write_leaves_the_file(self, tmp_path, bad, error):
+        # the payload is encoded in full before the file is opened
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_bytes(b'{"old": true}\n')
+        for path in (kept, fresh):
+            with pytest.raises(error):
+                models._write_json({"a": 1.0, "x": bad}, path)
+        assert kept.read_bytes() == b'{"old": true}\n'
+        assert not fresh.exists()
 
     @pytest.mark.parametrize(
         "model",

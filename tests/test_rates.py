@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaycap.errors import DomainError, UsageError, ValidationError
 from relaycap.info import binary_entropy, inv_binary_entropy, star
@@ -450,6 +452,14 @@ _SINGLE_POINT = {
 }
 
 
+# Every family with each of its fields; the sweep grids may leave each domain.
+_SWEEPABLE = [(m, f.name) for m in (_bin(0.1), BinaryMrcd(delta=0.1, p_z=0.3, r1=0.25),
+                                    _par(0.1), _gauss(0.2))
+              for f in dataclasses.fields(m)]
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
 class TestSweep:
     @pytest.mark.parametrize(
         "model, param, grid, rival",
@@ -460,9 +470,13 @@ class TestSweep:
             (_gauss(0.0), "rho", np.linspace(-1.0, 1.0, 101), "cf"),
             (_gauss(0.6), "r1", np.linspace(0.0, 3.0, 101), "cf"),
             (_par(0.0), "delta", np.linspace(0.0, 0.5, 101), "pdcf"),
+            # r1 sweeps change the CF noise at every point; the parallel grid
+            # holds r1 = 2, from which on nu = 0
+            (BinaryMrcd(delta=0.1, p_z=0.12, r1=0.25), "r1", np.linspace(0.0, 1.5, 101), "cf"),
+            (_par(0.02), "r1", np.linspace(1.0, 3.0, 101), "pdcf"),
         ],
         ids=["binary-fair-state", "binary-p_z", "binary-delta", "gaussian-rho",
-             "gaussian-r1-from-0", "parallel-delta"],
+             "gaussian-r1-from-0", "parallel-delta", "binary-r1", "parallel-r1-across-2"],
     )
     def test_columns_equal_single_point_evaluators(self, model, param, grid, rival):
         curve = sweep(model, param, grid)
@@ -500,6 +514,34 @@ class TestSweep:
     def test_out_of_domain_grid_point(self):
         with pytest.raises(ValidationError):
             sweep(_bin(0.1), "delta", [0.4, 0.6])
+
+    def test_nan_inside_the_grid(self):
+        # NaN passes the increasing check; the point validation names it
+        with pytest.raises(ValidationError, match=r"^delta: must be in \[0.0, 0.5\], got nan$"):
+            sweep(_bin(0.1), "delta", [0.1, math.nan, 0.2])
+
+    @PROPERTY
+    @given(
+        family_param=st.sampled_from(_SWEEPABLE),
+        grid=st.lists(st.sampled_from([-1.0, -0.0, 0.5, 1.0, 2.0])
+                      | st.floats(-1.5, 2.5, allow_nan=False),
+                      min_size=1, max_size=6, unique=True).map(sorted),
+    )
+    def test_validates_like_a_per_point_loop(self, family_param, grid):
+        # one check of the grid's ends must refuse exactly the grids a
+        # dataclasses.replace per point refuses, naming the same first value
+        model, param = family_param
+        try:
+            ats = [dataclasses.replace(model, **{param: x}) for x in grid]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                sweep(model, param, grid)
+            assert str(got.value) == str(exc)
+            return
+        curve = sweep(model, param, grid)
+        evaluators = _SINGLE_POINT[type(model)]
+        for scheme, pts in curve.points.items():
+            assert pts == [evaluators[scheme](at) for at in ats]
 
     def test_gaussian_family(self):
         curve = sweep(_gauss(0.0), "rho", np.linspace(0.0, 1.0, 7))
