@@ -103,15 +103,13 @@ def inv_binary_entropy(q: float) -> float:
     if q == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    for _ in range(60):
+    for _ in range(39):
         mid = 0.5 * (lo + hi)
         # binary_entropy(mid) inline: mid stays in (0, 0.5), inside its domain
         if -(mid * math.log2(mid) + (1.0 - mid) * math.log2(1.0 - mid)) < q:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12:
-            break
     return 0.5 * (lo + hi)
 
 

@@ -16,7 +16,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -500,68 +499,15 @@ def load_model(path):
     return model_from_dict(raw)
 
 
-def _json_text(obj, out: list[str], newline: str) -> None:
-    """Append the text ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False)`` gives to ``out``; ``newline`` is a line break plus
-    the indent of the line ``obj`` starts on.
-
-    Raises ``ValueError`` on a non-finite float and ``TypeError`` on a
-    value ``json`` cannot encode or a key that is not a str.
-    """
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        out.append(float.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner, sep = newline + "  ", "["
-        for item in obj:
-            out.append(sep + inner)
-            _json_text(item, out, inner)
-            sep = ","
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner, sep = newline + "  ", "{"
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
-            _json_text(obj[key], out, inner)
-            sep = ","
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _write_json(payload, path) -> None:
-    """Write ``payload`` as strict (no NaN/Infinity), indented JSON with sorted keys.
+    """Write ``payload`` as strict (no NaN/Infinity) compact JSON with sorted keys.
 
-    The bytes are those of ``json.dump(payload, fh, indent=2, sort_keys=True,
-    allow_nan=False)`` and a final newline. That call runs the stdlib's
-    pure-Python encoder (its C encoder serves only ``indent=None``), which
-    ``_json_text`` outpaces. The whole text is built before ``path`` is
-    opened, so a payload that cannot be encoded leaves the file as it was.
+    The text is built before ``path`` is opened, so a payload that cannot be
+    encoded leaves the file as it was.
     """
-    out: list[str] = []
-    _json_text(payload, out, "\n")
-    out.append("\n")
+    text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(out))
+        fh.write(text)
 
 
 def dump_model(model, path) -> None:

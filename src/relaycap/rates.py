@@ -327,8 +327,9 @@ class RateCurve:
         values = np.asarray(self.param_values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValidationError("RateCurve: param_values must be a nonempty vector")
-        if np.any(np.diff(values) <= 0.0):
-            raise ValidationError("RateCurve: param_values must be strictly increasing")
+        # NaN compares False both ways, so test for increase, not for its failure
+        if not (np.all(np.isfinite(values)) and np.all(np.diff(values) > 0.0)):
+            raise ValidationError("RateCurve: param_values must be finite and strictly increasing")
         for scheme, pts in self.points.items():
             if scheme not in SCHEMES:
                 raise ValidationError(f"RateCurve: unknown scheme {scheme!r}")

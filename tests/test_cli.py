@@ -12,6 +12,7 @@ import pytest
 
 import relaycap
 from relaycap.cli import build_parser, main
+from relaycap.errors import SolverError
 from relaycap.models import BinaryMrcd, embed_binary, model_to_dict
 
 BIN_MODEL = {"type": "binary", "delta": 0.1, "p_z": 0.5, "r1": 0.25}
@@ -97,6 +98,12 @@ class TestFigureCommands:
         out = tmp_path / "fig4.csv"
         assert main(["fig4", "--out", str(out), "--grid", "0:0.4:1"]) == 2
         assert "grid" in capsys.readouterr().err
+
+    def test_grid_stop_below_start(self, tmp_path, capsys):
+        out = tmp_path / "fig7.csv"
+        assert main(["fig7", "--out", str(out), "--grid", "0.5:0.1:5"]) == 2
+        assert capsys.readouterr().err == "error: --grid needs stop > start, got '0.5:0.1:5'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:0.4:3", "nan:0.4:3"])
     def test_non_finite_grid(self, tmp_path, capsys, recwarn, grid):
@@ -251,6 +258,33 @@ class TestSolveCommand:
             for command in ("solve", "classify"):
                 assert main([command, "--model", str(model), "--out", str(out)]) == 2
                 assert field in capsys.readouterr().err
+
+    def test_model_file_holding_an_array(self, tmp_path, capsys):
+        model = _write_model(tmp_path, [BIN_MODEL])
+        out = tmp_path / "report.json"
+        assert main(["solve", "--model", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: model: expected a JSON object\n"
+        assert not out.exists()
+
+    def test_p_z_length_differs_from_its_alphabet(self, tmp_path, capsys):
+        payload = model_to_dict(embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25)))
+        payload["p_z"] = [0.2, 0.3, 0.5]
+        out = tmp_path / "report.json"
+        assert main(["solve", "--model", str(_write_model(tmp_path, payload)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: p_z: length 3 != alphabets.z 2\n"
+        assert not out.exists()
+
+    def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(model, cfg):
+            raise SolverError("no convergence")
+
+        monkeypatch.setattr(relaycap.cli, "solve_capacity", fail)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--model", str(_write_model(tmp_path, BIN_MODEL)),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "solver error: no convergence\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("restarts", ["2", "4"])
     def test_negative_seed(self, tmp_path, capsys, restarts):

@@ -594,6 +594,16 @@ class TestRateCurveSerialization:
                 points={"df": [RatePoint("df", 0.1), RatePoint("df", 0.2)]},
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_grid_refused(self, bad):
+        # NaN slips past a check for a non-positive step, inf past any step check
+        with pytest.raises(ValidationError, match="finite and strictly increasing"):
+            RateCurve(
+                param_name="delta",
+                param_values=np.array([0.1, bad]),
+                points={"df": [RatePoint("df", 0.1), RatePoint("df", 0.2)]},
+            )
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             RateCurve(

@@ -607,6 +607,18 @@ class TestBruteForce:
         with pytest.raises(UsageError):
             brute_force_capacity(par, 0.1)  # |X1| = 4
 
+    def test_enumeration_budget(self):
+        # |Y_R| = 5 at pitch 0.05: 21 p(x1) times 21^5 test channels
+        m = DiscreteOrcd(
+            p_z=Pmf([1.0]),
+            chan_sr=np.full((2, 1, 5), 0.2),
+            chan_rd=np.ones((1, 1, 1)),
+            chan_sd=np.ones((1, 1, 1)),
+            r1_pipe=0.3,
+        )
+        with pytest.raises(UsageError, match="exceed the enumeration budget"):
+            brute_force_capacity(m, 0.05)
+
     @pytest.mark.parametrize("resolution", [float("nan"), float("inf")])
     def test_non_finite_resolution(self, resolution):
         with pytest.raises(UsageError, match="resolution"):
