@@ -9,7 +9,6 @@ and safe to call from concurrent workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -73,59 +72,60 @@ def _conditional(name: str, table, ndim: int) -> np.ndarray:
     return arr
 
 
-def binary_entropy(p: float) -> float:
-    """h2(p) = -p*log2(p) - (1-p)*log2(1-p).
+def _elements(name: str, x, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """``x`` as floats (a numpy scalar when 0-d), or ``DomainError`` naming
+    ``name`` and its first element outside [lo, hi], NaN included."""
+    x = np.asarray(x, dtype=float)
+    good = (x >= lo) & (x <= hi)
+    if not good.all():
+        raise DomainError(f"{name}, got {x[~good][0]}")
+    return x[()]
 
-    Returns a value in [0, 1]; rejects arguments outside [0, 1].
+
+def _out(x) -> float | np.ndarray:
+    """A float for a scalar result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
+    """h2(p) = -p*log2(p) - (1-p)*log2(1-p), elementwise.
+
+    Returns values in [0, 1]; rejects arguments outside [0, 1].
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"binary_entropy: p must be in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    p = _elements("binary_entropy: p must be in [0, 1]", p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0) is set to 0
+        h = -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+    return _out(np.where((p == 0.0) | (p == 1.0), 0.0, h))
 
 
-def inv_binary_entropy(q: float) -> float:
-    """Inverse of ``binary_entropy`` restricted to [0, 0.5].
+def inv_binary_entropy(q: float | np.ndarray) -> float | np.ndarray:
+    """Inverse of ``binary_entropy`` restricted to [0, 0.5], elementwise.
 
     Negative arguments return 0 by convention; arguments above 1, and NaN,
     are rejected. Computed by bisection (h2 is strictly increasing on [0, 0.5])
-    to absolute tolerance 1e-12. The bracket stays dyadic, so its width
-    0.5 * 2^-k is exact and every call takes exactly 39 halvings, the first
-    k with 0.5 * 2^-k <= 1e-12.
+    to absolute tolerance 1e-12. The bracket [lo, lo + width] stays dyadic,
+    so every midpoint is exact and each element takes exactly 39 halvings,
+    the first k with width 0.5 * 2^-k <= 1e-12.
     """
-    q = float(q)
-    if not q <= 1.0:  # NaN fails it too
-        raise DomainError(f"inv_binary_entropy: q must be <= 1, got {q}")
-    if q <= 0.0:
-        return 0.0
-    if q == 1.0:
-        return 0.5
-    lo, hi = 0.0, 0.5
+    q = _elements("inv_binary_entropy: q must be <= 1", q, -np.inf)
+    lo, width = np.zeros_like(q)[()], 0.5
     for _ in range(39):
-        mid = 0.5 * (lo + hi)
-        # binary_entropy(mid) inline: mid stays in (0, 0.5), inside its domain
-        if -(mid * math.log2(mid) + (1.0 - mid) * math.log2(1.0 - mid)) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        width *= 0.5
+        mid = lo + width
+        # binary_entropy(mid) inline, negated: mid stays in (0, 0.5)
+        lo = lo + width * (mid * np.log2(mid) + (1.0 - mid) * np.log2(1.0 - mid) > -q)
+    return _out(np.where(q <= 0.0, 0.0, np.where(q == 1.0, 0.5, lo + 0.5 * width)))
 
 
-def star(a: float, b: float) -> float:
-    """Binary convolution a(1-b) + (1-a)b.
+def star(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """Binary convolution a(1-b) + (1-a)b, elementwise.
 
     The crossover probability of two cascaded binary symmetric channels;
     commutative, with identity 0 and absorbing element 0.5.
     """
-    a = float(a)
-    b = float(b)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"star: a must be in [0, 1], got {a}")
-    if not 0.0 <= b <= 1.0:
-        raise DomainError(f"star: b must be in [0, 1], got {b}")
-    return a * (1.0 - b) + (1.0 - a) * b
+    a = _elements("star: a must be in [0, 1]", a)
+    b = _elements("star: b must be in [0, 1]", b)
+    return _out(a * (1.0 - b) + (1.0 - a) * b)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,16 +1,17 @@
 """Closed-form achievable rates and bounds for the multihop example channels.
 
-Each scheme evaluator returns a ``RatePoint`` whose ``meta`` records the
+Each family's closed forms are written once, as a column kernel: numpy
+formulas that take the model's fields, any one of them an array over a
+grid, and return every scheme's rates and ``meta`` columns. ``sweep`` makes
+one kernel call per grid; each single-point evaluator is its family's
+kernel read at one point, so the two agree exactly. ``meta`` records the
 internals of the optimising choice (compression noise, branch taken, power
 split). All rates are in bits per channel use and clamped at 0 from below.
-Pure functions throughout; ``sweep`` assembles whole curves for plotting or
-CSV export.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -57,19 +58,55 @@ class RatePoint:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValidationError(f"RatePoint: unknown scheme {self.scheme!r}")
-        value = float(self.value)
-        if not math.isfinite(value) or value < -1e-12:
-            raise ValidationError(f"RatePoint: rate must be >= 0, got {value}")
-        object.__setattr__(self, "value", max(0.0, value))
+        object.__setattr__(self, "value", _rates([float(self.value)])[0])
         object.__setattr__(self, "meta", dict(self.meta))
 
 
-@functools.lru_cache(maxsize=1)
-def _cf_noise(q: float) -> float:
-    """``inv_binary_entropy(q)``, kept for the last q: the CF compression
-    noise depends on r1 alone, so a sweep of any other field asks for the
-    same one at every point."""
-    return inv_binary_entropy(q)
+def _rates(values) -> list[float]:
+    """``RatePoint``'s rule on a column of rates: each finite and >= -1e-12,
+    clamped at 0 (so -0.0 becomes 0.0)."""
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values >= -1e-12))
+    if bad.any():
+        raise ValidationError(f"RatePoint: rate must be >= 0, got {values[bad][0]}")
+    return np.maximum(values, 0.0).tolist()
+
+
+def _points(scheme: str, values, metas: list[dict]) -> list[RatePoint]:
+    """A kernel's column as ``RatePoint``s, one per meta dict. The column
+    passes ``RatePoint``'s rule once, so the points skip ``__post_init__``."""
+    points = []
+    for value, meta in zip(_rates(np.broadcast_to(values, len(metas))), metas):
+        pt = object.__new__(RatePoint)
+        fields = pt.__dict__  # item by item: faster than update(**kwargs)
+        fields["scheme"], fields["value"], fields["meta"] = scheme, value, meta
+        points.append(pt)
+    return points
+
+
+def _metas(n: int, key: str | None = None, column=None) -> list[dict]:
+    """One meta dict per point: ``{key: value}`` from a column that
+    broadcasts to ``n`` points, or empty."""
+    if key is None:
+        return [{} for _ in range(n)]
+    return [{key: x} for x in np.broadcast_to(column, n).tolist()]
+
+
+def _pdcf(df, cf, cf_metas: list[dict], power_split: bool = False):
+    """The pDCF column max{DF, CF} of the clamped rates, tagged DF at a tie,
+    with the winner's meta and its branch, plus the Gaussian power split
+    alpha* (1 decodes, 0 compresses) when ``power_split``."""
+    df, cf = np.maximum(df, 0.0), np.maximum(cf, 0.0)
+    won = df >= cf
+    split = ({"alpha_star": 1.0}, {"alpha_star": 0.0}) if power_split else ({}, {})
+    metas = [{"branch": "df", **split[0]} if w else {"branch": "cf", **m, **split[1]}
+             for w, m in zip(np.broadcast_to(won, len(cf_metas)).tolist(), cf_metas)]
+    return np.where(won, df, cf), metas
+
+
+def _at(kernel, m, scheme: str) -> RatePoint:
+    """``scheme``'s point of ``m``: its family's kernel read at one point."""
+    return _points(scheme, *kernel(1, **vars(m))[scheme])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +114,24 @@ def _cf_noise(q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _parallel_binary(n: int, delta, p_z, r1) -> dict:
+    """Columns of the parallel binary family over ``n`` points."""
+    h = binary_entropy(delta)
+    # from r1 = 2 on both outputs fit through the pipe: nu = h2^{-1}(<= 0) = 0
+    nu = inv_binary_entropy(1.0 - r1 / 2.0)
+    # an argument above 1 is clamped to q = h2^{-1}(1) = 0.5
+    q = inv_binary_entropy(np.minimum(2.0 - h - r1, 1.0))
+    return {
+        "cutset": (np.minimum(r1, 2.0 * (1.0 - h)), _metas(n)),
+        "df": (np.minimum(r1, 2.0 - binary_entropy(star(delta, p_z)) - h), _metas(n)),
+        "cf": (2.0 * (1.0 - binary_entropy(star(delta, nu))), _metas(n, "nu", nu)),
+        "pdcf": (np.minimum(r1, 2.0 - h - binary_entropy(star(delta, q))), _metas(n, "q", q)),
+    }
+
+
 def parallel_binary_cutset(m: ParallelBinaryMrcd) -> RatePoint:
     """min{r1, 2(1 - h2(delta))}."""
-    return RatePoint("cutset", min(m.r1, 2.0 * (1.0 - binary_entropy(m.delta))))
+    return _at(_parallel_binary, m, "cutset")
 
 
 def parallel_binary_df(m: ParallelBinaryMrcd) -> RatePoint:
@@ -87,8 +139,7 @@ def parallel_binary_df(m: ParallelBinaryMrcd) -> RatePoint:
 
     The relay decodes both links; the state acts as extra noise on the first.
     """
-    inner = 2.0 - binary_entropy(star(m.delta, m.p_z)) - binary_entropy(m.delta)
-    return RatePoint("df", min(m.r1, inner))
+    return _at(_parallel_binary, m, "df")
 
 
 def parallel_binary_cf(m: ParallelBinaryMrcd) -> RatePoint:
@@ -98,9 +149,7 @@ def parallel_binary_cf(m: ParallelBinaryMrcd) -> RatePoint:
     crossover ``nu`` (recorded in meta); for r1 >= 2 the outputs fit through
     the pipe losslessly and nu = 0.
     """
-    nu = 0.0 if m.r1 >= 2.0 else _cf_noise(1.0 - m.r1 / 2.0)
-    value = 2.0 * (1.0 - binary_entropy(star(m.delta, nu)))
-    return RatePoint("cf", value, meta={"nu": nu})
+    return _at(_parallel_binary, m, "cf")
 
 
 def parallel_binary_pdcf(m: ParallelBinaryMrcd) -> RatePoint:
@@ -111,11 +160,7 @@ def parallel_binary_pdcf(m: ParallelBinaryMrcd) -> RatePoint:
     meta; an argument above 1 would demand more smoothing than a fair coin,
     so it is clamped to q = 0.5 (which zeroes the compressed contribution).
     """
-    h_delta = binary_entropy(m.delta)
-    arg = 2.0 - h_delta - m.r1
-    q = 0.5 if arg > 1.0 else inv_binary_entropy(arg)
-    inner = 2.0 - h_delta - binary_entropy(star(m.delta, q))
-    return RatePoint("pdcf", min(m.r1, inner), meta={"q": q})
+    return _at(_parallel_binary, m, "pdcf")
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +168,34 @@ def parallel_binary_pdcf(m: ParallelBinaryMrcd) -> RatePoint:
 # ---------------------------------------------------------------------------
 
 
+def _binary(n: int, delta, p_z, r1) -> dict:
+    """Columns of the binary family over ``n`` points; ``capacity`` is the
+    CF column, the capacity where p_z = 1/2."""
+    nu = inv_binary_entropy(1.0 - r1)
+    df = np.minimum(r1, 1.0 - binary_entropy(star(delta, p_z)))
+    cf, cf_metas = 1.0 - binary_entropy(star(delta, nu)), _metas(n, "nu", nu)
+    return {
+        "cutset": (np.minimum(r1, 1.0 - binary_entropy(delta)), _metas(n)),
+        "df": (df, _metas(n)),
+        "cf": (cf, cf_metas),
+        "pdcf": _pdcf(df, cf, cf_metas),
+        "capacity": (cf, [dict(meta) for meta in cf_metas]),
+    }
+
+
 def binary_cutset(m: BinaryMrcd) -> RatePoint:
     """min{r1, 1 - h2(delta)}."""
-    return RatePoint("cutset", min(m.r1, 1.0 - binary_entropy(m.delta)))
+    return _at(_binary, m, "cutset")
 
 
 def binary_df(m: BinaryMrcd) -> RatePoint:
     """min{r1, 1 - h2(delta * p_z)}."""
-    return RatePoint("df", min(m.r1, 1.0 - binary_entropy(star(m.delta, m.p_z))))
+    return _at(_binary, m, "df")
 
 
 def binary_cf(m: BinaryMrcd) -> RatePoint:
     """1 - h2(delta * h2^{-1}(1 - r1)), via the test channel Y_R + Ber(nu)."""
-    nu = _cf_noise(1.0 - m.r1)
-    value = 1.0 - binary_entropy(star(m.delta, nu))
-    return RatePoint("cf", value, meta={"nu": nu})
+    return _at(_binary, m, "cf")
 
 
 def binary_pdcf(m: BinaryMrcd) -> RatePoint:
@@ -147,7 +205,7 @@ def binary_pdcf(m: BinaryMrcd) -> RatePoint:
     branches give the same value at the threshold and the DF tag is reported
     there for determinism. Meta records the branch.
     """
-    return _from_df_cf(binary_df(m), binary_cf(m))
+    return _at(_binary, m, "pdcf")
 
 
 def binary_capacity_pz_half(m: BinaryMrcd) -> RatePoint:
@@ -159,22 +217,7 @@ def binary_capacity_pz_half(m: BinaryMrcd) -> RatePoint:
     """
     if m.p_z != 0.5:
         raise UsageError(f"binary_capacity_pz_half: requires p_z = 0.5, got {m.p_z}")
-    cf = binary_cf(m)
-    return RatePoint("capacity", cf.value, cf.meta)
-
-
-def _from_df_cf(df: RatePoint, cf: RatePoint, power_split: bool = False) -> RatePoint:
-    """The pDCF point of a model, from its DF and CF points.
-
-    pDCF is max{DF, CF}, tagged DF at a tie, with the winner's meta and its
-    branch, plus the Gaussian power split alpha* (1 decodes, 0 compresses)
-    when ``power_split``.
-    """
-    branch, won = ("df", df) if df.value >= cf.value else ("cf", cf)
-    meta = {"branch": branch, **won.meta}
-    if power_split:
-        meta["alpha_star"] = 1.0 if branch == "df" else 0.0
-    return RatePoint("pdcf", won.value, meta)
+    return _at(_binary, m, "capacity")
 
 
 def g_alpha(alpha: float, delta: float, r1: float) -> float:
@@ -203,26 +246,41 @@ def g_alpha(alpha: float, delta: float, r1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _four_to(r1: float) -> float:
-    """2^{2 r1}, or inf where that overflows a float (r1 >= 512)."""
-    try:
-        return 2.0 ** (2.0 * r1)
-    except OverflowError:
-        return math.inf
+def _four_to(r1):
+    """2^{2 r1}, elementwise; inf where that overflows a float (r1 >= 512)."""
+    with np.errstate(over="ignore"):
+        return np.power(2.0, 2.0 * r1)
+
+
+def _gaussian(n: int, power, rho, r1) -> dict:
+    """Columns of the Gaussian family over ``n`` points; CF's noise variance
+    is sigma_q^2 = (P + 1 - rho^2) / (2^{2 r1} - 1)."""
+    p, rho2, four = power, np.multiply(rho, rho), _four_to(r1)
+    # both branches are computed everywhere; the discarded one may divide by 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cutset = np.minimum(r1, 0.5 * np.log2(1.0 + p / (1.0 - rho2)))
+        finite = r1 - 0.5 * np.log2((p + four * (1.0 - rho2)) / (p + 1.0 - rho2))
+        limit = np.where(rho2 == 1.0, r1, 0.5 * np.log2((p + 1.0 - rho2) / (1.0 - rho2)))
+        sigma_q_sq = (p + 1.0 - rho2) / (four - 1.0)
+    df = np.minimum(r1, 0.5 * np.log2(1.0 + p))
+    cf = np.minimum(r1, np.where(four < np.inf, finite, limit))
+    cf_metas = _metas(n, "sigma_q_sq", np.where(sigma_q_sq < np.inf, sigma_q_sq, None))
+    return {
+        "cutset": (cutset, _metas(n)),
+        "df": (df, _metas(n)),
+        "cf": (cf, cf_metas),
+        "pdcf": _pdcf(df, cf, cf_metas, power_split=True),
+    }
 
 
 def gaussian_cutset(m: GaussianMrcd) -> RatePoint:
     """min{r1, 0.5 log2(1 + P / (1 - rho^2))}; the inner term diverges at |rho| = 1."""
-    if m.rho * m.rho >= 1.0:
-        inner = math.inf
-    else:
-        inner = 0.5 * math.log2(1.0 + m.power / (1.0 - m.rho * m.rho))
-    return RatePoint("cutset", min(m.r1, inner))
+    return _at(_gaussian, m, "cutset")
 
 
 def gaussian_df(m: GaussianMrcd) -> RatePoint:
     """min{r1, 0.5 log2(1 + P)}."""
-    return RatePoint("df", min(m.r1, 0.5 * math.log2(1.0 + m.power)))
+    return _at(_gaussian, m, "df")
 
 
 def gaussian_cf(m: GaussianMrcd) -> RatePoint:
@@ -236,15 +294,7 @@ def gaussian_cf(m: GaussianMrcd) -> RatePoint:
     r1. Where 2^{2 r1} overflows a float the rate is its limit
     0.5 log2((P + 1 - rho^2) / (1 - rho^2)), r1 itself at |rho| = 1.
     """
-    p, rho2, r1 = m.power, m.rho * m.rho, m.r1
-    four_r1 = _four_to(r1)
-    if four_r1 < math.inf:
-        value = r1 - 0.5 * math.log2((p + four_r1 * (1.0 - rho2)) / (p + 1.0 - rho2))
-    else:
-        value = r1 if rho2 == 1.0 else 0.5 * math.log2((p + 1.0 - rho2) / (1.0 - rho2))
-    sigma_q_sq = math.inf if four_r1 == 1.0 else (p + 1.0 - rho2) / (four_r1 - 1.0)
-    meta = {"sigma_q_sq": sigma_q_sq if sigma_q_sq < math.inf else None}
-    return RatePoint("cf", min(r1, value), meta=meta)
+    return _at(_gaussian, m, "cf")
 
 
 def gaussian_pdcf(m: GaussianMrcd) -> RatePoint:
@@ -254,7 +304,7 @@ def gaussian_pdcf(m: GaussianMrcd) -> RatePoint:
     layer, alpha* = 1), compressing wins beyond (alpha* = 0); the DF tag is
     reported at exact equality, where both branches coincide.
     """
-    return _from_df_cf(gaussian_df(m), gaussian_cf(m), power_split=True)
+    return _at(_gaussian, m, "pdcf")
 
 
 def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
@@ -269,7 +319,7 @@ def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
     """
     alpha = float(alpha)
     p, rho2, r1 = m.power, m.rho * m.rho, m.r1
-    four_r1 = _four_to(r1)
+    four_r1 = float(_four_to(r1))
     hi = min((1.0 - 1.0 / four_r1) * (1.0 + 1.0 / p), 1.0)
     if not -1e-12 <= alpha <= hi + 1e-12:
         raise DomainError(f"gaussian_G: alpha must be in [0, {hi}], got {alpha}")
@@ -291,28 +341,7 @@ def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-# The schemes ``sweep`` evaluates at each grid point. The binary and Gaussian
-# pDCF come from that point's DF and CF through ``_from_df_cf``, and the
-# fair-state binary capacity is its CF point; parallel-binary pDCF has a
-# formula of its own.
-_FAMILY_SCHEMES = {
-    ParallelBinaryMrcd: {
-        "cutset": parallel_binary_cutset,
-        "df": parallel_binary_df,
-        "cf": parallel_binary_cf,
-        "pdcf": parallel_binary_pdcf,
-    },
-    BinaryMrcd: {
-        "cutset": binary_cutset,
-        "df": binary_df,
-        "cf": binary_cf,
-    },
-    GaussianMrcd: {
-        "cutset": gaussian_cutset,
-        "df": gaussian_df,
-        "cf": gaussian_cf,
-    },
-}
+_KERNELS = {ParallelBinaryMrcd: _parallel_binary, BinaryMrcd: _binary, GaussianMrcd: _gaussian}
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,67 +392,37 @@ class RateCurve:
         _write_json(payload, path)
 
 
-def _grid_models(model, param: str, xs: list[float]):
-    """``model`` with ``param`` set to each grid value, in grid order.
-
-    Every sweepable field's domain is an interval of finite floats and the
-    grid is strictly increasing, so when both ends of a finite grid pass
-    ``dataclasses.replace``'s validation, every value between them does too:
-    the points are then built without revalidating (the sweepable families
-    hold nothing but their fields). Otherwise each point goes through
-    ``dataclasses.replace`` as the sweep reaches it, and the first value
-    outside the domain raises its ``ValidationError``.
-    """
-    def at(x: float):
-        return dataclasses.replace(model, **{param: x})
-
-    try:
-        at(xs[0])
-        at(xs[-1])
-    except ValidationError:
-        return map(at, xs)
-    if not all(map(math.isfinite, xs)):  # NaN passes the increasing check
-        return map(at, xs)
-    family, fields = type(model), vars(model)
-    points = []
-    for x in xs:
-        pt = object.__new__(family)
-        vars(pt).update(fields, **{param: x})
-        points.append(pt)
-    return points
-
-
 def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
     """Evaluate every applicable scheme of ``model``'s family along ``grid``.
 
-    ``param`` must name a field of the model family; the grid must be
+    ``param`` must name a field of the model family; the grid must be finite,
     strictly increasing and inside the field's domain. For the binary family
-    with p_z = 0.5 a capacity column is included as well.
+    with p_z = 0.5 a capacity column is included as well. One call of the
+    family's kernel, with ``param`` set to the grid, gives every column.
     """
     family = type(model)
-    if family not in _FAMILY_SCHEMES:
+    if family not in _KERNELS:
         raise UsageError(f"sweep: unsupported model family {family.__name__}")
-    fields = {f.name for f in dataclasses.fields(model)}
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
     if param not in fields:
         raise UsageError(f"sweep: {param!r} is not a parameter of {family.__name__}")
     values = np.asarray(grid, dtype=float)
     if values.ndim != 1 or values.size < 1:
         raise UsageError("sweep: grid must be a nonempty vector")
-    if np.any(np.diff(values) <= 0.0):
-        raise UsageError("sweep: grid must be strictly increasing")
-
-    evaluators = _FAMILY_SCHEMES[family]
-    derived = [] if family is ParallelBinaryMrcd else ["pdcf"]
-    if family is BinaryMrcd and param != "p_z" and model.p_z == 0.5:
-        derived.append("capacity")
-    power_split = family is GaussianMrcd
-
-    points: dict[str, list[RatePoint]] = {s: [] for s in [*evaluators, *derived]}
-    for at in _grid_models(model, param, values.tolist()):
-        for scheme, fn in evaluators.items():
-            points[scheme].append(fn(at))
-        df, cf = points["df"][-1], points["cf"][-1]
-        for scheme in derived:
-            points[scheme].append(_from_df_cf(df, cf, power_split) if scheme == "pdcf"
-                                  else RatePoint("capacity", cf.value, cf.meta))
+    # NaN compares False both ways, so test for increase, not for its failure
+    if not (np.all(np.isfinite(values)) and np.all(np.diff(values) > 0.0)):
+        raise UsageError("sweep: grid must be finite and strictly increasing")
+    # each field's domain is an interval: the grid lies in it once both ends
+    # do; otherwise a per-point loop names the first value outside
+    try:
+        for x in (values[0], values[-1]):
+            dataclasses.replace(model, **{param: float(x)})
+    except ValidationError:
+        for x in values.tolist():
+            dataclasses.replace(model, **{param: x})
+        raise
+    columns = _KERNELS[family](values.size, **{**fields, param: values})
+    if family is not BinaryMrcd or param == "p_z" or model.p_z != 0.5:
+        columns.pop("capacity", None)
+    points = {scheme: _points(scheme, *column) for scheme, column in columns.items()}
     return RateCurve(param_name=param, param_values=values, points=points)

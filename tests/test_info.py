@@ -131,6 +131,50 @@ class TestStar:
             star(0.1, 1.2)
 
 
+class TestArrayArguments:
+    # 0, 0.5 and 1, subnormal and near-1 arguments, and q <= 0 and q = 1
+    P = np.array([0.0, 5e-324, 1e-12, 0.11, 0.25, 0.5, 0.75, 1.0 - 1e-16, 1.0])
+    Q = np.array([-np.inf, -0.3, -0.0, 0.0, 5e-324, 1e-12, 0.5, 0.8, 1.0 - 1e-16, 1.0])
+
+    @staticmethod
+    def _hex(values) -> list[str]:
+        return [float(x).hex() for x in np.ravel(values)]
+
+    def test_binary_entropy_is_the_scalar_call_elementwise(self):
+        got = binary_entropy(self.P.reshape(3, 3))
+        assert isinstance(got, np.ndarray) and got.shape == (3, 3)
+        assert self._hex(got) == [binary_entropy(float(p)).hex() for p in self.P]
+        assert type(binary_entropy(0.11)) is float
+
+    def test_inv_binary_entropy_is_the_scalar_call_elementwise(self):
+        got = inv_binary_entropy(self.Q)
+        assert isinstance(got, np.ndarray) and got.shape == self.Q.shape
+        assert self._hex(got) == [inv_binary_entropy(float(q)).hex() for q in self.Q]
+        assert self._hex(got[:4]) == [(0.0).hex()] * 4 and got[-1] == 0.5
+        assert type(inv_binary_entropy(0.8)) is float
+
+    def test_star_broadcasts_the_scalar_call(self):
+        got = star(self.P[:, None], self.P[None, :])
+        assert got.shape == (self.P.size, self.P.size)
+        assert self._hex(got) == [star(float(a), float(b)).hex() for a in self.P for b in self.P]
+        assert self._hex(star(0.1, self.P)) == [star(0.1, float(b)).hex() for b in self.P]
+        assert type(star(0.1, 0.2)) is float
+
+    @pytest.mark.parametrize(
+        "call, bad",
+        [(binary_entropy, 1.5), (binary_entropy, -1e-12), (binary_entropy, math.nan),
+         (inv_binary_entropy, 1.0 + 1e-9), (inv_binary_entropy, math.nan),
+         (lambda x: star(x, 0.2), -0.1), (lambda x: star(x, 0.2), math.nan),
+         (lambda x: star(0.2, x), 1.2), (lambda x: star(0.2, x), math.nan)],
+        ids=["h2-above", "h2-below", "h2-nan", "inv-above", "inv-nan",
+             "star-a-below", "star-a-nan", "star-b-above", "star-b-nan"],
+    )
+    def test_one_bad_element_raises(self, call, bad):
+        values = np.array([0.25, bad, 0.5, bad])
+        with pytest.raises(DomainError, match=f"got {bad}$"):
+            call(values)
+
+
 class TestPmf:
     def test_rejects_negative_mass(self):
         with pytest.raises(ValidationError):

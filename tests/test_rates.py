@@ -474,9 +474,12 @@ class TestSweep:
             # holds r1 = 2, from which on nu = 0
             (BinaryMrcd(delta=0.1, p_z=0.12, r1=0.25), "r1", np.linspace(0.0, 1.5, 101), "cf"),
             (_par(0.02), "r1", np.linspace(1.0, 3.0, 101), "pdcf"),
+            # pDCF's clamp q = 0.5 below r1 = 1 - h2(0.3), r1 = 0, and nu = 0 past r1 = 2
+            (_par(0.3), "r1", np.linspace(0.0, 3.0, 101), "pdcf"),
         ],
         ids=["binary-fair-state", "binary-p_z", "binary-delta", "gaussian-rho",
-             "gaussian-r1-from-0", "parallel-delta", "binary-r1", "parallel-r1-across-2"],
+             "gaussian-r1-from-0", "parallel-delta", "binary-r1", "parallel-r1-across-2",
+             "parallel-r1-from-0"],
     )
     def test_columns_equal_single_point_evaluators(self, model, param, grid, rival):
         curve = sweep(model, param, grid)
@@ -488,6 +491,27 @@ class TestSweep:
         # the grid crosses the switch between decoding and its rival
         ahead = _values(curve, "df") >= _values(curve, rival)
         assert ahead.any() and not ahead.all()
+
+    @pytest.mark.parametrize(
+        "grid, sigma_q_sq",
+        [
+            # 2^{2 r1} overflows from r1 = 512 on, where sigma_q^2 = 0
+            (np.linspace(500.0, 600.0, 101), {12: 0.0, 100: 0.0}),
+            # sigma_q^2 has no finite value where 2^{2 r1} rounds to 1
+            (np.concatenate([[0.0, 1e-17, 1e-16], np.linspace(1e-9, 1.0, 50)]),
+             {0: None, 1: None}),
+        ],
+        ids=["across-overflow", "from-0"],
+    )
+    def test_gaussian_r1_columns_equal_single_point_evaluators(self, grid, sigma_q_sq):
+        model = _gauss(0.6)
+        curve = sweep(model, "r1", grid)
+        for i, x in enumerate(grid):
+            at = dataclasses.replace(model, r1=float(x))
+            for scheme, pts in curve.points.items():
+                assert pts[i] == _SINGLE_POINT[GaussianMrcd][scheme](at)
+        for i, sigma in sigma_q_sq.items():
+            assert curve.points["cf"][i].meta["sigma_q_sq"] == sigma
 
     def test_parallel_schemes(self):
         curve = sweep(_par(0.0), "delta", np.linspace(0.0, 0.5, 11))
@@ -516,9 +540,14 @@ class TestSweep:
             sweep(_bin(0.1), "delta", [0.4, 0.6])
 
     def test_nan_inside_the_grid(self):
-        # NaN passes the increasing check; the point validation names it
-        with pytest.raises(ValidationError, match=r"^delta: must be in \[0.0, 0.5\], got nan$"):
+        # NaN compares False both ways, so it would pass a test for a step <= 0
+        with pytest.raises(UsageError, match=r"^sweep: grid must be finite and strictly increasing$"):
             sweep(_bin(0.1), "delta", [0.1, math.nan, 0.2])
+
+    def test_infinite_grid_end(self):
+        # refused as a grid before any model is built at its ends
+        with pytest.raises(UsageError, match=r"^sweep: grid must be finite and strictly increasing$"):
+            sweep(_gauss(0.2), "r1", [0.0, 1.0, math.inf])
 
     @PROPERTY
     @given(
