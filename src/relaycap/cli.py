@@ -85,7 +85,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"--grid needs at least 2 steps, got {steps}")
     if not stop > start:
         raise UsageError(f"--grid needs stop > start, got {spec!r}")
-    return np.linspace(start, stop, steps)
+    try:
+        return np.linspace(start, stop, steps)
+    except (ValueError, MemoryError):  # numpy refuses the size before allocating
+        raise UsageError(f"--grid has more steps than memory holds, got {steps}") from None
 
 
 def _write_curve(curve: RateCurve, out_path: str, fmt: str) -> None:

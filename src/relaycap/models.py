@@ -494,7 +494,8 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as e:  # a JSONDecodeError, or an integer too long to parse
+        # a JSONDecodeError, an integer too long to parse, or nesting too deep
+        except (ValueError, RecursionError) as e:
             raise ValidationError(f"model file is not valid JSON: {e}") from None
     return model_from_dict(raw)
 

@@ -12,7 +12,6 @@ split). All rates are in bits per channel use and clamped at 0 from below.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -169,18 +168,20 @@ def parallel_binary_pdcf(m: ParallelBinaryMrcd) -> RatePoint:
 
 
 def _binary(n: int, delta, p_z, r1) -> dict:
-    """Columns of the binary family over ``n`` points; ``capacity`` is the
-    CF column, the capacity where p_z = 1/2."""
+    """Columns of the binary family over ``n`` points. Where p_z is the fair
+    coin and not swept, ``capacity`` is the CF column, the capacity there."""
     nu = inv_binary_entropy(1.0 - r1)
     df = np.minimum(r1, 1.0 - binary_entropy(star(delta, p_z)))
     cf, cf_metas = 1.0 - binary_entropy(star(delta, nu)), _metas(n, "nu", nu)
-    return {
+    columns = {
         "cutset": (np.minimum(r1, 1.0 - binary_entropy(delta)), _metas(n)),
         "df": (df, _metas(n)),
         "cf": (cf, cf_metas),
         "pdcf": _pdcf(df, cf, cf_metas),
-        "capacity": (cf, [dict(meta) for meta in cf_metas]),
     }
+    if np.ndim(p_z) == 0 and p_z == 0.5:
+        columns["capacity"] = (cf, [dict(meta) for meta in cf_metas])
+    return columns
 
 
 def binary_cutset(m: BinaryMrcd) -> RatePoint:
@@ -215,9 +216,10 @@ def binary_capacity_pz_half(m: BinaryMrcd) -> RatePoint:
     so decoding is useless and compressing is optimal: the capacity equals
     the CF rate and in general sits strictly below the cut-set bound.
     """
-    if m.p_z != 0.5:
-        raise UsageError(f"binary_capacity_pz_half: requires p_z = 0.5, got {m.p_z}")
-    return _at(_binary, m, "capacity")
+    try:
+        return _at(_binary, m, "capacity")
+    except KeyError:
+        raise UsageError(f"binary_capacity_pz_half: requires p_z = 0.5, got {m.p_z}") from None
 
 
 def g_alpha(alpha: float, delta: float, r1: float) -> float:
@@ -324,12 +326,9 @@ def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
     if not -1e-12 <= alpha <= hi + 1e-12:
         raise DomainError(f"gaussian_G: alpha must be in [0, {hi}], got {alpha}")
     abar = 1.0 - alpha
-    num = four_r1 * (1.0 + p) * (1.0 - rho2 + abar * p)
-    den = (1.0 - rho2) * four_r1 * (1.0 + abar * p) + abar * p * (1.0 + p)
-    if not (math.isfinite(num) and math.isfinite(den)):
-        # both divided by 2^{2 r1}, for r1 near or past 512 where they overflow
-        num = (1.0 + p) * (1.0 - rho2 + abar * p)
-        den = (1.0 - rho2) * (1.0 + abar * p) + abar * p * (1.0 + p) / four_r1
+    # numerator and denominator divided by 2^{2 r1}, so neither overflows
+    num = (1.0 + p) * (1.0 - rho2 + abar * p)
+    den = (1.0 - rho2) * (1.0 + abar * p) + abar * p * (1.0 + p) / four_r1
     if den == 0.0:
         # Only at rho^2 = 1, at alpha = 1 or with 2^{2 r1} infinite, where the
         # ratio tends to 2^{2 r1}.
@@ -344,6 +343,19 @@ def gaussian_G(alpha: float, m: GaussianMrcd) -> float:
 _KERNELS = {ParallelBinaryMrcd: _parallel_binary, BinaryMrcd: _binary, GaussianMrcd: _gaussian}
 
 
+def _grid(values, error: type[Exception], name: str) -> np.ndarray:
+    """A float copy of ``values``, so freezing it leaves the caller's array
+    writable, or ``error`` saying that ``name`` must be a nonempty vector,
+    finite and strictly increasing."""
+    values = np.array(values, dtype=float)
+    if values.ndim != 1 or values.size < 1:
+        raise error(f"{name} must be a nonempty vector")
+    # NaN compares False both ways, so test for increase, not for its failure
+    if not (np.all(np.isfinite(values)) and np.all(np.diff(values) > 0.0)):
+        raise error(f"{name} must be finite and strictly increasing")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class RateCurve:
     """Per-scheme rates over a strictly increasing parameter grid."""
@@ -353,12 +365,7 @@ class RateCurve:
     points: dict[str, list[RatePoint]]
 
     def __post_init__(self):
-        values = np.asarray(self.param_values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValidationError("RateCurve: param_values must be a nonempty vector")
-        # NaN compares False both ways, so test for increase, not for its failure
-        if not (np.all(np.isfinite(values)) and np.all(np.diff(values) > 0.0)):
-            raise ValidationError("RateCurve: param_values must be finite and strictly increasing")
+        values = _grid(self.param_values, ValidationError, "RateCurve: param_values")
         for scheme, pts in self.points.items():
             if scheme not in SCHEMES:
                 raise ValidationError(f"RateCurve: unknown scheme {scheme!r}")
@@ -396,8 +403,7 @@ def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
     """Evaluate every applicable scheme of ``model``'s family along ``grid``.
 
     ``param`` must name a field of the model family; the grid must be finite,
-    strictly increasing and inside the field's domain. For the binary family
-    with p_z = 0.5 a capacity column is included as well. One call of the
+    strictly increasing and inside the field's domain. One call of the
     family's kernel, with ``param`` set to the grid, gives every column.
     """
     family = type(model)
@@ -406,12 +412,7 @@ def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
     fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
     if param not in fields:
         raise UsageError(f"sweep: {param!r} is not a parameter of {family.__name__}")
-    values = np.asarray(grid, dtype=float)
-    if values.ndim != 1 or values.size < 1:
-        raise UsageError("sweep: grid must be a nonempty vector")
-    # NaN compares False both ways, so test for increase, not for its failure
-    if not (np.all(np.isfinite(values)) and np.all(np.diff(values) > 0.0)):
-        raise UsageError("sweep: grid must be finite and strictly increasing")
+    values = _grid(grid, UsageError, "sweep: grid")
     # each field's domain is an interval: the grid lies in it once both ends
     # do; otherwise a per-point loop names the first value outside
     try:
@@ -422,7 +423,5 @@ def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
             dataclasses.replace(model, **{param: x})
         raise
     columns = _KERNELS[family](values.size, **{**fields, param: values})
-    if family is not BinaryMrcd or param == "p_z" or model.p_z != 0.5:
-        columns.pop("capacity", None)
     points = {scheme: _points(scheme, *column) for scheme, column in columns.items()}
     return RateCurve(param_name=param, param_values=values, points=points)

@@ -46,7 +46,7 @@ from typing import ClassVar, Iterator
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .info import JointPmf, _conditional, _entropy_bits
+from .info import JointPmf, _conditional
 from .models import (
     _BA_GAP,
     DiscreteOrcd,
@@ -772,12 +772,7 @@ def classify_cutset_tightness(m: DiscreteOrcd) -> set[str]:
         cases.add("case3")
     p_bar = m.source_relay_link[1]
     p_yr_given_z = np.einsum("x,xzr->zr", p_bar, m.chan_sr)
-    h_bar = float(
-        sum(
-            m.p_z[z] * _entropy_bits(p_yr_given_z[z])
-            for z in range(m.n_z)
-        )
-    )
+    h_bar = float(m.p_z.probs @ _neg_xlogx(p_yr_given_z, (1,)))
     if r1 > h_bar - tol:
         cases.add("case4")
     return cases if cases else {"none"}

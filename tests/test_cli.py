@@ -105,6 +105,15 @@ class TestFigureCommands:
         assert capsys.readouterr().err == "error: --grid needs stop > start, got '0.5:0.1:5'\n"
         assert not out.exists()
 
+    # numpy refuses both counts before it allocates: 10^20 overflows an array
+    # size, 10^18 floats are 6.94 EiB
+    @pytest.mark.parametrize("steps", [10**20, 10**18], ids=["past-int64", "past-memory"])
+    def test_oversized_grid(self, tmp_path, capsys, steps):
+        out = tmp_path / "fig7.csv"
+        assert main(["fig7", "--out", str(out), "--grid", f"0:1:{steps}"]) == 2
+        assert capsys.readouterr().err == f"error: --grid has more steps than memory holds, got {steps}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:0.4:3", "nan:0.4:3"])
     def test_non_finite_grid(self, tmp_path, capsys, recwarn, grid):
         out = tmp_path / "fig7.csv"
@@ -258,6 +267,20 @@ class TestSolveCommand:
             for command in ("solve", "classify"):
                 assert main([command, "--model", str(model), "--out", str(out)]) == 2
                 assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["classify"], ["sweep", "--param", "delta", "--grid", "0:0.5:3"],
+    ], ids=lambda c: c[0])
+    def test_model_nested_too_deep(self, tmp_path, capsys, command):
+        model = tmp_path / "nested.json"
+        model.write_text('{"type": "binary", "delta": ' + "[" * 100_000 + "]" * 100_000
+                         + ', "p_z": 0.5, "r1": 0.25}')
+        out = tmp_path / "out"
+        assert main([*command, "--model", str(model), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file is not valid JSON: maximum recursion depth")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_model_file_holding_an_array(self, tmp_path, capsys):
         model = _write_model(tmp_path, [BIN_MODEL])

@@ -203,6 +203,32 @@ class TestJointPmf:
         with pytest.raises(ValidationError):
             JointPmf(np.full((2, 2), 0.25), axis_labels=("A", "A"))
 
+    @pytest.mark.parametrize(
+        "table, labels, message",
+        [
+            (1.0, None, r"^JointPmf: table must have at least one axis$"),
+            (np.full((2, 2), 0.25), ("A",), r"^JointPmf: 1 labels for 2 axes$"),
+        ],
+        ids=["zero-axes", "label-count"],
+    )
+    def test_refused_table(self, table, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            JointPmf(table, axis_labels=labels)
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ("C", r"^unknown axis 'C'; have \('A', 'B'\)$"),
+            (2, r"^axis index 2 out of range for 2 axes$"),
+            (("A", 0), r"^repeated axis in \('A', 0\)$"),
+        ],
+        ids=["unknown-name", "index-out-of-range", "repeated"],
+    )
+    def test_bad_axes(self, axes, message):
+        j = JointPmf(np.full((2, 2), 0.25), axis_labels=("A", "B"))
+        with pytest.raises(UsageError, match=message):
+            j.entropy(axes)
+
     def test_entropy_matches_loop_reference(self):
         rng = np.random.default_rng(4)
         j = JointPmf(rng.dirichlet(np.ones(12)).reshape(3, 4), axis_labels=("A", "B"))

@@ -330,6 +330,15 @@ class TestParameterValidation:
                 chan_sd=np.ones((1, 2, 1)),
             )
 
+    def test_channel_state_axis_size(self):
+        with pytest.raises(ValidationError, match=r"^chan_rd: state axis has size 3, expected 2$"):
+            DiscreteOrcd(
+                p_z=Pmf([0.5, 0.5]),
+                chan_sr=_state_free(_bsc(0.1)),
+                chan_rd=np.ones((1, 3, 1)),
+                chan_sd=np.ones((1, 2, 1)),
+            )
+
 
 class TestModelFiles:
     @pytest.mark.parametrize(
@@ -421,6 +430,17 @@ class TestModelFiles:
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_model(path)
 
+    def test_nesting_too_deep(self, tmp_path):
+        # the decoder's recursion limit, not a traceback
+        path = tmp_path / "nested.json"
+        path.write_text('{"type": "binary", "delta": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ValidationError, match="^model file is not valid JSON: maximum recursion depth"):
+            load_model(path)
+
+    def test_unsupported_type_has_no_dict(self):
+        with pytest.raises(UsageError, match="^unsupported model type Pmf$"):
+            model_to_dict(Pmf([0.5, 0.5]))
+
     def test_probability_out_of_range(self):
         d = model_to_dict(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25))
         d["p_z"] = 1.5
@@ -436,6 +456,10 @@ class TestAsDiscrete:
     def test_gaussian_rejected(self):
         with pytest.raises(UsageError):
             as_discrete(GaussianMrcd(power=0.3, rho=0.5, r1=1.0))
+
+    def test_unsupported_type_rejected(self):
+        with pytest.raises(UsageError, match="^unsupported model type Pmf$"):
+            as_discrete(Pmf([0.5, 0.5]))
 
     def test_discrete_passthrough(self):
         m = embed_binary(BinaryMrcd(delta=0.1, p_z=0.5, r1=0.25))

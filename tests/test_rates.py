@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from relaycap.errors import DomainError, UsageError, ValidationError
 from relaycap.info import binary_entropy, inv_binary_entropy, star
-from relaycap.models import BinaryMrcd, GaussianMrcd, ParallelBinaryMrcd
+from relaycap.models import BinaryMrcd, GaussianMrcd, ParallelBinaryMrcd, as_discrete
 from relaycap.rates import (
     RateCurve,
     RatePoint,
@@ -281,6 +281,10 @@ class TestGAlpha:
             g_alpha(0.1, 0.2, 1.0)  # below r1/2
         with pytest.raises(DomainError):
             g_alpha(1.8, 0.2, 1.0)  # above 1 + r1/2
+        with pytest.raises(DomainError, match=r"^g_alpha: delta must be in \[0, 0.5\], got 0.7$"):
+            g_alpha(0.6, 0.7, 1.0)
+        with pytest.raises(DomainError, match=r"^g_alpha: r1 must be >= 0, got -0.5$"):
+            g_alpha(0.0, 0.2, -0.5)  # alpha = 0 lies in [r1/2, 1 + r1/2]
 
 
 class TestGaussianRates:
@@ -519,13 +523,18 @@ class TestSweep:
         assert len(_values(curve, "df")) == 11
 
     def test_binary_includes_capacity_at_fair_state(self):
-        curve = sweep(_bin(0.0), "delta", np.linspace(0.0, 0.5, 5))
-        assert "capacity" in curve.points
-        np.testing.assert_allclose(_values(curve, "capacity"), _values(curve, "cf"))
+        for param, grid in (("delta", np.linspace(0.0, 0.5, 5)), ("r1", np.linspace(0.0, 1.5, 7))):
+            curve = sweep(_bin(0.1), param, grid)
+            assert "capacity" in curve.points, param
+            np.testing.assert_allclose(_values(curve, "capacity"), _values(curve, "cf"))
 
     def test_binary_skips_capacity_otherwise(self):
-        curve = sweep(BinaryMrcd(delta=0.0, p_z=0.3, r1=0.25), "delta", [0.0, 0.1])
-        assert "capacity" not in curve.points
+        for model, param, grid in (
+            (BinaryMrcd(delta=0.0, p_z=0.3, r1=0.25), "delta", [0.0, 0.1]),
+            # the grid moves p_z off the fair coin, even where it holds 0.5
+            (_bin(0.1), "p_z", [0.3, 0.5]),
+        ):
+            assert "capacity" not in sweep(model, param, grid).points, param
 
     def test_unknown_param(self):
         with pytest.raises(UsageError):
@@ -534,6 +543,21 @@ class TestSweep:
     def test_non_increasing_grid(self):
         with pytest.raises(UsageError):
             sweep(_bin(0.1), "delta", [0.2, 0.1])
+
+    def test_leaves_the_callers_grid_writable(self):
+        grid = np.linspace(0.0, 0.5, 5)
+        curve = sweep(_bin(0.1), "delta", grid)
+        assert grid.flags.writeable and not curve.param_values.flags.writeable
+        grid[0] = 0.25
+        assert curve.param_values[0] == 0.0
+
+    def test_two_axis_grid(self):
+        with pytest.raises(UsageError, match=r"^sweep: grid must be a nonempty vector$"):
+            sweep(_bin(0.1), "delta", [[0.1, 0.2]])
+
+    def test_discrete_model(self):
+        with pytest.raises(UsageError, match=r"^sweep: unsupported model family DiscreteOrcd$"):
+            sweep(as_discrete(_bin(0.1)), "r1_pipe", [0.1, 0.2])
 
     def test_out_of_domain_grid_point(self):
         with pytest.raises(ValidationError):
@@ -614,6 +638,15 @@ class TestRateCurveSerialization:
         assert len(payload["param_values"]) == 6
         got = [pt["value"] for pt in payload["points"]["pdcf"]]
         np.testing.assert_allclose(got, _values(curve, "pdcf"), atol=0)
+
+    def test_empty_grid(self):
+        with pytest.raises(ValidationError, match=r"^RateCurve: param_values must be a nonempty vector$"):
+            RateCurve(param_name="delta", param_values=np.array([]), points={})
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValidationError, match=r"^RateCurve: unknown scheme 'dual'$"):
+            RateCurve(param_name="delta", param_values=np.array([0.1]),
+                      points={"dual": [RatePoint("df", 0.1)]})
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ValidationError):

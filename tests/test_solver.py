@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from relaycap import models, solver
-from relaycap.errors import UsageError
+from relaycap.errors import UsageError, ValidationError
 from relaycap.info import (
     JointPmf,
     Pmf,
@@ -128,6 +128,11 @@ class TestObjective:
             # the observation it is built from
             assert i_x <= i_r + 1e-10
 
+    def test_input_axis_must_match_the_model(self):
+        # a 3-letter X1 axis on a binary-input model
+        with pytest.raises(UsageError, match=r"^joint_ux1 input axis has size 3, model has 2$"):
+            objective(_bin_model(0.1), _scheme(np.full((1, 3), 1.0 / 3), _constant_yhat(2, 1), 1, 1))
+
     def test_cardinality_bounds_enforced(self):
         m = _bin_model(0.1)
         joint = np.full((6, 2), 1.0 / 12)  # card_u > |X1| + 3
@@ -137,6 +142,23 @@ class TestObjective:
         test[:, :, 0] = 1.0  # card_yhat > card_u * |Y_R| + 1
         with pytest.raises(UsageError):
             objective(m, _scheme(np.full((2, 2), 0.25), test, 2, 6))
+
+
+class TestAuxiliaryScheme:
+    # each case breaks one rule: the other arguments fit card_u and card_yhat
+    @pytest.mark.parametrize(
+        "joint, test, card_u, message",
+        [
+            (np.full((2, 2, 2), 0.125), _constant_yhat(2, 2), 2, r"joint_ux1 must be a 2-axis table$"),
+            (np.full((2, 2), 0.25), _constant_yhat(2, 3), 3, r"joint_ux1 has 2 rows, card_u=3$"),
+            (np.full((2, 2), 0.25), _constant_yhat(2, 2, card_yhat=2), 2,
+             r"test_channel shape \(2, 2, 2\) inconsistent with card_u=2, card_yhat=1$"),
+        ],
+        ids=["three-axis-joint", "rows-not-card_u", "test-channel-shape"],
+    )
+    def test_refused_scheme(self, joint, test, card_u, message):
+        with pytest.raises(ValidationError, match="^AuxiliaryScheme: " + message):
+            AuxiliaryScheme(joint_ux1=JointPmf(joint), test_channel=test, card_u=card_u, card_yhat=1)
 
 
 class TestSolveCapacity:
