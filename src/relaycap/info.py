@@ -35,11 +35,21 @@ PROB_TOL = 1e-9
 Axes = Union[int, str, Iterable[Union[int, str]]]
 
 
-def _entropy_bits(table: np.ndarray) -> float:
-    """Shannon entropy of an (unnormalised-shape, normalised-mass) array."""
-    flat = np.asarray(table, dtype=float).ravel()
-    # 0 * log2(max(0, tiny)) = 0 exactly, so zero cells need no masking
-    return float(-np.dot(flat, np.log2(np.maximum(flat, 1e-300))))
+def _log2(t: np.ndarray) -> np.ndarray:
+    """log2 of t with empty cells read as 1e-300."""
+    out = np.maximum(t, 1e-300)
+    return np.log2(out, out=out)
+
+
+# _log2 of an empty cell
+_LOG_ZERO = float(np.log2(1e-300))
+
+
+def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
+    """-sum of t log2 t over ``axes`` (all for None); 0 log2 0 is 0 exactly."""
+    products = _log2(t)
+    products *= t
+    return -products.sum(axis=axes)
 
 
 def _conditional(name: str, table, ndim: int) -> np.ndarray:
@@ -144,9 +154,6 @@ class Pmf:
     def __len__(self) -> int:
         return int(self.probs.size)
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.probs[i])
-
 
 @dataclass(frozen=True, eq=False)
 class JointPmf:
@@ -204,12 +211,9 @@ class JointPmf:
 
     def entropy(self, axes: Axes | None = None) -> float:
         """Joint entropy (bits) of the given axes; all axes when omitted."""
-        if axes is None:
-            return _entropy_bits(self.table)
-        keep = sorted(self._resolve(axes))
+        keep = range(self.table.ndim) if axes is None else self._resolve(axes)
         drop = tuple(i for i in range(self.table.ndim) if i not in keep)
-        arr = self.table.sum(axis=drop) if drop else self.table
-        return _entropy_bits(arr)
+        return float(_neg_xlogx(self.table.sum(axis=drop), None))
 
 
 def mutual_information(j: JointPmf, axes_a: Axes, axes_b: Axes) -> float:

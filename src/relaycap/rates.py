@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, UsageError, ValidationError
-from .info import binary_entropy, inv_binary_entropy, star
+from .info import _elements, binary_entropy, inv_binary_entropy, star
 from .models import BinaryMrcd, GaussianMrcd, ParallelBinaryMrcd, _write_json
 
 __all__ = [
@@ -48,15 +48,13 @@ SCHEMES = ("cutset", "df", "cf", "pdcf", "capacity")
 
 @dataclass(frozen=True)
 class RatePoint:
-    """A named scheme rate at one parameter point."""
+    """A scheme's rate at one parameter point; the scheme is the key it is
+    filed under (a ``RateCurve`` column or the evaluator that returned it)."""
 
-    scheme: str
     value: float
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValidationError(f"RatePoint: unknown scheme {self.scheme!r}")
         object.__setattr__(self, "value", _rates([float(self.value)])[0])
         object.__setattr__(self, "meta", dict(self.meta))
 
@@ -71,14 +69,14 @@ def _rates(values) -> list[float]:
     return np.maximum(values, 0.0).tolist()
 
 
-def _points(scheme: str, values, metas: list[dict]) -> list[RatePoint]:
+def _points(values, metas: list[dict]) -> list[RatePoint]:
     """A kernel's column as ``RatePoint``s, one per meta dict. The column
     passes ``RatePoint``'s rule once, so the points skip ``__post_init__``."""
     points = []
     for value, meta in zip(_rates(np.broadcast_to(values, len(metas))), metas):
         pt = object.__new__(RatePoint)
         fields = pt.__dict__  # item by item: faster than update(**kwargs)
-        fields["scheme"], fields["value"], fields["meta"] = scheme, value, meta
+        fields["value"], fields["meta"] = value, meta
         points.append(pt)
     return points
 
@@ -105,7 +103,7 @@ def _pdcf(df, cf, cf_metas: list[dict], power_split: bool = False):
 
 def _at(kernel, m, scheme: str) -> RatePoint:
     """``scheme``'s point of ``m``: its family's kernel read at one point."""
-    return _points(scheme, *kernel(1, **vars(m))[scheme])[0]
+    return _points(*kernel(1, **vars(m))[scheme])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +227,8 @@ def g_alpha(alpha: float, delta: float, r1: float) -> float:
     r1/2 - h2(delta) and r1/2, so its maximum over [r1/2, 1] sits at alpha = 1.
     """
     alpha = float(alpha)
-    delta = float(delta)
-    r1 = float(r1)
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"g_alpha: delta must be in [0, 0.5], got {delta}")
-    if r1 < 0.0:
-        raise DomainError(f"g_alpha: r1 must be >= 0, got {r1}")
+    delta = float(_elements("g_alpha: delta must be in [0, 0.5]", delta, 0.0, 0.5))
+    r1 = float(_elements("g_alpha: r1 must be >= 0", r1, 0.0, np.inf))
     if not r1 / 2.0 - 1e-12 <= alpha <= 1.0 + r1 / 2.0 + 1e-12:
         raise DomainError(
             f"g_alpha: alpha must be in [{r1 / 2}, {1 + r1 / 2}], got {alpha}"
@@ -258,12 +252,13 @@ def _gaussian(n: int, power, rho, r1) -> dict:
     """Columns of the Gaussian family over ``n`` points; CF's noise variance
     is sigma_q^2 = (P + 1 - rho^2) / (2^{2 r1} - 1)."""
     p, rho2, four = power, np.multiply(rho, rho), _four_to(r1)
+    var_given_z = p + (1.0 - rho2)  # Var(Y_R | Z); 1 + P first rounds away P < 1.1e-16
     # both branches are computed everywhere; the discarded one may divide by 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cutset = np.minimum(r1, 0.5 * np.log2(1.0 + p / (1.0 - rho2)))
-        finite = r1 - 0.5 * np.log2((p + four * (1.0 - rho2)) / (p + 1.0 - rho2))
-        limit = np.where(rho2 == 1.0, r1, 0.5 * np.log2((p + 1.0 - rho2) / (1.0 - rho2)))
-        sigma_q_sq = (p + 1.0 - rho2) / (four - 1.0)
+        finite = r1 - 0.5 * np.log2((p + four * (1.0 - rho2)) / var_given_z)
+        limit = np.where(rho2 == 1.0, r1, 0.5 * np.log2(var_given_z / (1.0 - rho2)))
+        sigma_q_sq = var_given_z / (four - 1.0)
     df = np.minimum(r1, 0.5 * np.log2(1.0 + p))
     cf = np.minimum(r1, np.where(four < np.inf, finite, limit))
     cf_metas = _metas(n, "sigma_q_sq", np.where(sigma_q_sq < np.inf, sigma_q_sq, None))
@@ -423,5 +418,5 @@ def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
             dataclasses.replace(model, **{param: x})
         raise
     columns = _KERNELS[family](values.size, **{**fields, param: values})
-    points = {scheme: _points(scheme, *column) for scheme, column in columns.items()}
+    points = {scheme: _points(*column) for scheme, column in columns.items()}
     return RateCurve(param_name=param, param_values=values, points=points)

@@ -22,12 +22,13 @@ chord stalls (rises by at most ``_BA_GAP`` bits); its points stay in the
 group's pool.
 The envelope at R1 is realised by time sharing folded into U, reduced to the
 support lemma's |U| = |X1| + 3 rows by its Caratheodory step (``_fold``), and
-re-evaluated exactly, so the result is a certified lower bound on the
-capacity, deterministic for a fixed seed. The search also stops once that
-certified rate meets the cut-set bound to within its Blahut-Arimoto
-certificate ``_BA_GAP``: the bound is then the capacity, so the stop forgoes
-at most ``_BA_GAP`` bits (plus the rounding of the feasibility tolerance), and
-it fires only where the solve reaches the cut-set bound.
+re-evaluated exactly by ``objective``: the report's rate is ``objective`` of
+its scheme, a certified lower bound on the capacity, deterministic for a
+fixed seed. The search also stops once that certified rate meets the cut-set
+bound to within its Blahut-Arimoto certificate ``_BA_GAP``: the bound is then
+the capacity, so the stop forgoes at most ``_BA_GAP`` bits (plus the rounding
+of the feasibility tolerance), and it fires only where the solve reaches the
+cut-set bound.
 ``brute_force_capacity`` is an independent coarse-grid oracle over the
 compress-and-forward schemes (constant U) of tiny models, and
 ``cutset_discrete`` the matching upper bound. Model and config values are
@@ -40,13 +41,14 @@ import itertools
 import logging
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .info import JointPmf, _conditional
+from .info import _LOG_ZERO, JointPmf, _conditional, _log2, _neg_xlogx
 from .models import (
     _BA_GAP,
     DiscreteOrcd,
@@ -132,23 +134,6 @@ class SolveReport:
     seed: int
 
 
-def _log2(t: np.ndarray) -> np.ndarray:
-    """log2 of t with empty cells read as 1e-300."""
-    out = np.maximum(t, 1e-300)
-    return np.log2(out, out=out)
-
-
-# _log2 of an empty cell
-_LOG_ZERO = float(np.log2(1e-300))
-
-
-def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """-sum of t log2 t over ``axes``."""
-    products = _log2(t)
-    products *= t
-    return -products.sum(axis=axes)
-
-
 def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product of a[i] and b[i] for every leading index i."""
     n = a.shape[0]
@@ -217,13 +202,6 @@ class _Expression:
         return sub
 
 
-def _scheme_terms(base: np.ndarray, s: AuxiliaryScheme) -> tuple[float, float]:
-    """(rate without R2, constraint value) of one scheme, as a batch of one."""
-    rate, lhs, _ = _Expression(base, s.joint_ux1.table[None]).terms(
-        s.test_channel.transpose(1, 0, 2)[None])
-    return float(rate[0]), float(lhs[0])
-
-
 def _check_scheme(m: DiscreteOrcd, s: AuxiliaryScheme) -> None:
     """The scheme's axes fit the model, within the sufficient cardinality
     bounds |U| <= |X1| + 3 and |Yhat| <= |U||Y_R| + 1."""
@@ -244,11 +222,13 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
     I(U; Y_R) + I(Y_R; Yhat | U, Z))``. The information terms are computed
     exactly by ``_Expression.terms`` on the scheme's one decode layer and
     test channel, and R2 is the model's ``direct_link`` capacity.
+    ``solve_capacity`` scores its candidates here, so a report's rate is
+    ``objective`` of its scheme.
     """
     _check_scheme(m, s)
-    r2 = m.direct_link[0]
-    rate, lhs = _scheme_terms(_base(m), s)
-    return r2 + rate, lhs
+    rate, lhs, _ = _Expression(_base(m), s.joint_ux1.table[None]).terms(
+        s.test_channel.transpose(1, 0, 2)[None])
+    return m.direct_link[0] + float(rate[0]), float(lhs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +467,11 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     in the group's pool, and a group of one start is searched once, through
     that pool. The best group chord (the one its search climbed, reduced to
     |U| rows by ``_fold``) or the best feasible point is realised by time
-    sharing folded into U and re-evaluated exactly: the result is a certified
-    lower bound on the capacity, deterministic for a fixed ``(model, cfg)``.
-    U takes the support lemma's |X1| + 3 values and Yhat the |Y_R| values
-    the search can reach; ``cfg``'s fields must be integers, not ``bool``.
+    sharing folded into U and re-evaluated exactly by ``objective``: the
+    result is a certified lower bound on the capacity, deterministic for a
+    fixed ``(model, cfg)``. U takes the support lemma's |X1| + 3 values and
+    Yhat the |Y_R| values the search can reach; ``cfg``'s fields must be
+    integers, not ``bool``, and ``restarts`` at most ``sys.maxsize``.
 
     A round whose best chord reaches ``cutset_discrete(m) - _BA_GAP`` realises
     and certifies that pick at once, and returns it if it is feasible and
@@ -513,6 +494,8 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
         if budget[name] < least:
             raise UsageError(f"solve_capacity: {name} must be >= {least}")
     restarts, max_iters, seed = budget.values()
+    if restarts > sys.maxsize:  # the most starts itertools.islice can count
+        raise UsageError(f"solve_capacity: restarts must be <= {sys.maxsize}")
     if m.n_x1 * m.n_yr * m.n_z > _PRODUCT_CAP:
         raise UsageError(f"model product |X1||Y_R||Z| = {m.n_x1 * m.n_yr * m.n_z} "
                          f"exceeds the cap {_PRODUCT_CAP}")
@@ -540,12 +523,11 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     searches += [(group, group) for group in groups.values() if len(group) > 2]
 
     def certified(joint: np.ndarray, test: np.ndarray):
-        scheme = AuxiliaryScheme(JointPmf(joint, axis_labels=("U", "X1")),
-                                 test.transpose(1, 0, 2), card_u, card_yhat)
-        return (scheme,) + _scheme_terms(base, scheme)
+        scheme = AuxiliaryScheme(joint, test.transpose(1, 0, 2), card_u, card_yhat)
+        return (scheme,) + objective(m, scheme)
 
     def pick() -> tuple[AuxiliaryScheme, float, float]:
-        """(scheme, rate without R2, constraint value) of the pools' best.
+        """(scheme, rate, constraint value) of the pools' best, by ``objective``.
 
         The best group chord, the one its search climbed, realised by ``_fold``
         in |U| rows, where it beats the best feasible point and its exact
@@ -585,7 +567,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
                 if b[2] - a[2] > _BA_GAP:
                     rising.append((pool, group, (a, b), (b[2] - a[2]) / (b[3] - a[3])))
         found = pick() if r2 + max(best.values()) >= bound else None
-        if found is not None and _feasible(found[2], r1) and r2 + found[1] >= bound:
+        if found is not None and _feasible(found[2], r1) and found[1] >= bound:
             stop = "cutset met"
             break
         if not rising:
@@ -618,7 +600,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
                "group, stopped: %s", rounds, ascended_rows, stopped, stop)
 
     scheme, rate, lhs = found or pick()
-    return SolveReport(best_rate=r2 + rate, best_scheme=scheme, feasible=_feasible(lhs, r1),
+    return SolveReport(best_rate=rate, best_scheme=scheme, feasible=_feasible(lhs, r1),
                        constraint_slack=r1 - lhs, restarts_used=restarts, seed=seed)
 
 

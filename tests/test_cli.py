@@ -48,6 +48,13 @@ class TestFigureCommands:
         sign = np.sign(cols["df"][1:-1] - cols["pdcf"][1:-1])
         assert np.count_nonzero(np.diff(sign) != 0) == 1
 
+    def test_fig6_at_a_power_that_one_plus_p_rounds_away(self, tmp_path):
+        # 1 + 1e-16 rounds to 1: grouped that way, the CF at rho = 1 read -inf
+        out = tmp_path / "fig6.json"
+        assert main(["fig6", "--power", "1e-16", "--format", "json", "--out", str(out)]) == 0
+        points = json.loads(out.read_text())["points"]
+        assert points["cf"][-1]["value"] == points["pdcf"][-1]["value"] == 1.0
+
     def test_fig6_pdcf_is_max(self, tmp_path):
         out = tmp_path / "fig6.csv"
         assert main(["fig6", "--out", str(out)]) == 0
@@ -316,6 +323,15 @@ class TestSolveCommand:
         assert main(["solve", "--model", str(model), "--out", str(out),
                      "--seed", "-1", "--restarts", restarts]) == 2
         assert capsys.readouterr().err == "error: solve_capacity: seed must be >= 0\n"
+        assert not out.exists()
+
+    def test_restarts_past_sys_maxsize(self, tmp_path, capsys):
+        model = _write_model(tmp_path, BIN_MODEL)
+        out = tmp_path / "report.json"
+        assert main(["solve", "--model", str(model), "--out", str(out),
+                     "--restarts", "100000000000000000000000"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: solve_capacity: restarts must be <= {sys.maxsize}\n")
         assert not out.exists()
 
     def test_missing_field_reports_path(self, tmp_path, capsys):

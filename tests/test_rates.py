@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,16 +62,12 @@ def _values(curve: RateCurve, scheme: str) -> np.ndarray:
 
 
 class TestRatePoint:
-    def test_unknown_scheme(self):
-        with pytest.raises(ValidationError):
-            RatePoint("magic", 0.1)
-
     def test_negative_value(self):
         with pytest.raises(ValidationError):
-            RatePoint("df", -0.5)
+            RatePoint(-0.5)
 
     def test_tiny_negative_clamps(self):
-        assert RatePoint("df", -1e-14).value == 0.0
+        assert RatePoint(-1e-14).value == 0.0
 
 
 class TestParallelBinaryCutset:
@@ -310,6 +307,14 @@ class TestGaussianRates:
         direct = 0.5 * math.log2(1.0 + p / (1.0 + sigma))
         assert got.value == pytest.approx(direct, abs=1e-12)
 
+    def test_cf_near_full_correlation_matches_exact_arithmetic(self):
+        # P + 1 - rho^2 is ~2e-8 here: rounding 1 + P first moved the CF by 3.2e-9 bits
+        p, rho = 1e-12, 0.99999999
+        gap = 1 - Fraction(rho) ** 2  # 1 - rho^2 of the float rho, exactly
+        exact = 1.0 - 0.5 * math.log2((Fraction(p) + 4 * gap) / (Fraction(p) + gap))
+        got = gaussian_cf(GaussianMrcd(power=p, rho=rho, r1=1.0)).value
+        assert got == pytest.approx(exact, abs=1e-12)
+
     @pytest.mark.parametrize("r1", [0.0, 1e-17, 1.0])
     def test_cf_never_exceeds_the_pipe(self, r1):
         # the log term can round below zero where 2^{2 r1} rounds to 1 (then
@@ -321,7 +326,7 @@ class TestGaussianRates:
         # 2^{2 r1} overflows at r1 >= 512; the rate is its limit in r1, which
         # the finite formula already reaches just below the overflow
         for rho in (0.0, 0.5, 0.99):
-            limit = 0.5 * math.log2((1.3 - rho * rho) / (1.0 - rho * rho))
+            limit = 0.5 * math.log2((0.3 + (1.0 - rho * rho)) / (1.0 - rho * rho))
             got = gaussian_cf(_gauss(rho, r1=600.0))
             assert got.value == limit
             assert got.meta["sigma_q_sq"] == 0.0
@@ -491,7 +496,7 @@ class TestSweep:
         for i, x in enumerate(grid):
             at = dataclasses.replace(model, **{param: float(x)})
             for scheme, pts in curve.points.items():
-                assert pts[i] == evaluators[scheme](at)  # scheme, value and meta
+                assert pts[i] == evaluators[scheme](at)  # value and meta
         # the grid crosses the switch between decoding and its rival
         ahead = _values(curve, "df") >= _values(curve, rival)
         assert ahead.any() and not ahead.all()
@@ -646,14 +651,14 @@ class TestRateCurveSerialization:
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError, match=r"^RateCurve: unknown scheme 'dual'$"):
             RateCurve(param_name="delta", param_values=np.array([0.1]),
-                      points={"dual": [RatePoint("df", 0.1)]})
+                      points={"dual": [RatePoint(0.1)]})
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ValidationError):
             RateCurve(
                 param_name="delta",
                 param_values=np.array([0.1, 0.1]),
-                points={"df": [RatePoint("df", 0.1), RatePoint("df", 0.2)]},
+                points={"df": [RatePoint(0.1), RatePoint(0.2)]},
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -663,7 +668,7 @@ class TestRateCurveSerialization:
             RateCurve(
                 param_name="delta",
                 param_values=np.array([0.1, bad]),
-                points={"df": [RatePoint("df", 0.1), RatePoint("df", 0.2)]},
+                points={"df": [RatePoint(0.1), RatePoint(0.2)]},
             )
 
     def test_length_mismatch(self):
@@ -671,5 +676,5 @@ class TestRateCurveSerialization:
             RateCurve(
                 param_name="delta",
                 param_values=np.array([0.1, 0.2]),
-                points={"df": [RatePoint("df", 0.1)]},
+                points={"df": [RatePoint(0.1)]},
             )

@@ -253,6 +253,11 @@ class TestSolveCapacity:
         assert (rep.restarts_used, rep.seed) == (cfg.restarts, cfg.seed)
         assert json.loads(json.dumps(report_to_dict(rep)))["seed"] == cfg.seed
 
+    def test_restarts_past_sys_maxsize_rejected(self):
+        # itertools.islice counts at most sys.maxsize starts
+        with pytest.raises(UsageError, match=r"^solve_capacity: restarts must be <= \d+$"):
+            solve_capacity(_bin_model(0.1), SolveConfig(restarts=sys.maxsize + 1))
+
     @pytest.mark.parametrize("restarts", [2, 4])
     def test_negative_seed_rejected(self, restarts):
         # two restarts draw no seeded start; the seed is rejected all the same
