@@ -204,21 +204,12 @@ class GaussianMrcd:
 
 @dataclass(frozen=True, eq=False)
 class LinkCapacities:
-    """Capacities of the orthogonal relay-destination / source-destination links.
-
-    ``evals_r1``/``evals_r2`` count the divergence evaluations Blahut-Arimoto
-    made on each link and ``gap_r1``/``gap_r2`` are its final duality gaps in
-    bits; a bit pipe and a single-input link report 0 and 0.0.
-    """
+    """Capacities of the orthogonal relay-destination / source-destination links."""
 
     r1: float
     r2: float
     argmax_pxr: Pmf
     argmax_px2: Pmf
-    evals_r1: int
-    gap_r1: float
-    evals_r2: int
-    gap_r2: float
 
 
 # Blahut-Arimoto stops once its duality gap is below _BA_GAP bits, which
@@ -314,11 +305,8 @@ def link_capacities(m: DiscreteOrcd) -> LinkCapacities:
     pipe short-circuits the relay-destination link. Both come from the
     model's ``relay_link`` and ``direct_link``, computed once per model.
     """
-    r1, pxr, evals_r1, gap_r1 = m.relay_link
-    r2, px2, evals_r2, gap_r2 = m.direct_link
-    return LinkCapacities(r1=r1, r2=r2, argmax_pxr=Pmf(pxr), argmax_px2=Pmf(px2),
-                          evals_r1=evals_r1, gap_r1=gap_r1,
-                          evals_r2=evals_r2, gap_r2=gap_r2)
+    (r1, pxr, *_), (r2, px2, *_) = m.relay_link, m.direct_link
+    return LinkCapacities(r1=r1, r2=r2, argmax_pxr=Pmf(pxr), argmax_px2=Pmf(px2))
 
 
 def _trivial_channel(n_z: int) -> np.ndarray:

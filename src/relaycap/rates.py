@@ -7,6 +7,8 @@ one kernel call per grid; each single-point evaluator is its family's
 kernel read at one point, so the two agree exactly. ``meta`` records the
 internals of the optimising choice (compression noise, branch taken, power
 split). All rates are in bits per channel use and clamped at 0 from below.
+Every achievable column is capped by its kernel's cut-set column, which it
+never exceeds in exact arithmetic, so rounding cannot lift it above the bound.
 """
 
 from __future__ import annotations
@@ -118,11 +120,13 @@ def _parallel_binary(n: int, delta, p_z, r1) -> dict:
     nu = inv_binary_entropy(1.0 - r1 / 2.0)
     # an argument above 1 is clamped to q = h2^{-1}(1) = 0.5
     q = inv_binary_entropy(np.minimum(2.0 - h - r1, 1.0))
+    cut = np.minimum(r1, 2.0 * (1.0 - h))
     return {
-        "cutset": (np.minimum(r1, 2.0 * (1.0 - h)), _metas(n)),
-        "df": (np.minimum(r1, 2.0 - binary_entropy(star(delta, p_z)) - h), _metas(n)),
-        "cf": (2.0 * (1.0 - binary_entropy(star(delta, nu))), _metas(n, "nu", nu)),
-        "pdcf": (np.minimum(r1, 2.0 - h - binary_entropy(star(delta, q))), _metas(n, "q", q)),
+        "cutset": (cut, _metas(n)),
+        "df": (np.minimum(cut, 2.0 - binary_entropy(star(delta, p_z)) - h), _metas(n)),
+        "cf": (np.minimum(cut, 2.0 * (1.0 - binary_entropy(star(delta, nu)))),
+               _metas(n, "nu", nu)),
+        "pdcf": (np.minimum(cut, 2.0 - h - binary_entropy(star(delta, q))), _metas(n, "q", q)),
     }
 
 
@@ -169,10 +173,11 @@ def _binary(n: int, delta, p_z, r1) -> dict:
     """Columns of the binary family over ``n`` points. Where p_z is the fair
     coin and not swept, ``capacity`` is the CF column, the capacity there."""
     nu = inv_binary_entropy(1.0 - r1)
-    df = np.minimum(r1, 1.0 - binary_entropy(star(delta, p_z)))
-    cf, cf_metas = 1.0 - binary_entropy(star(delta, nu)), _metas(n, "nu", nu)
+    cut = np.minimum(r1, 1.0 - binary_entropy(delta))
+    df = np.minimum(cut, 1.0 - binary_entropy(star(delta, p_z)))
+    cf, cf_metas = np.minimum(cut, 1.0 - binary_entropy(star(delta, nu))), _metas(n, "nu", nu)
     columns = {
-        "cutset": (np.minimum(r1, 1.0 - binary_entropy(delta)), _metas(n)),
+        "cutset": (cut, _metas(n)),
         "df": (df, _metas(n)),
         "cf": (cf, cf_metas),
         "pdcf": _pdcf(df, cf, cf_metas),
@@ -257,10 +262,10 @@ def _gaussian(n: int, power, rho, r1) -> dict:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cutset = np.minimum(r1, 0.5 * np.log2(1.0 + p / (1.0 - rho2)))
         finite = r1 - 0.5 * np.log2((p + four * (1.0 - rho2)) / var_given_z)
-        limit = np.where(rho2 == 1.0, r1, 0.5 * np.log2(var_given_z / (1.0 - rho2)))
         sigma_q_sq = var_given_z / (four - 1.0)
-    df = np.minimum(r1, 0.5 * np.log2(1.0 + p))
-    cf = np.minimum(r1, np.where(four < np.inf, finite, limit))
+    df = np.minimum(cutset, 0.5 * np.log2(1.0 + p))
+    # past the overflow of 2^{2 r1} the CF is its limit, the cut-set term
+    cf = np.minimum(cutset, np.where(four < np.inf, finite, cutset))
     cf_metas = _metas(n, "sigma_q_sq", np.where(sigma_q_sq < np.inf, sigma_q_sq, None))
     return {
         "cutset": (cutset, _metas(n)),
@@ -287,9 +292,9 @@ def gaussian_cf(m: GaussianMrcd) -> RatePoint:
     noise; meta records the optimal noise variance sigma_q^2, or None (JSON
     null) where it has no finite value: the pipe carries nothing, 2^{2 r1}
     rounds to 1 or the ratio overflows. The log term is never
-    negative but can round below 0, there and at |rho| = 1, hence the cap at
-    r1. Where 2^{2 r1} overflows a float the rate is its limit
-    0.5 log2((P + 1 - rho^2) / (1 - rho^2)), r1 itself at |rho| = 1.
+    negative but can round below 0, there and at |rho| = 1, hence the cap,
+    taken at the cut-set bound. Where 2^{2 r1} overflows a float the rate is
+    its limit 0.5 log2((P + 1 - rho^2) / (1 - rho^2)), the cut-set term.
     """
     return _at(_gaussian, m, "cf")
 

@@ -16,10 +16,10 @@ endpoints of the chord it maximises the Lagrangian at that slope by
 alternating closed-form updates of the test channel and of p(u | x1) (the
 beta-sweep of the information bottleneck, in Blahut-Arimoto form), adds the
 two points to the pool and takes the new chord, until the chord stops rising.
-Starts that share p(x1) also search their group's joint pool. A search goes
-on while its pool grows, and a start's search ends in the round its group's
-chord stalls (rises by at most ``_BA_GAP`` bits); its points stay in the
-group's pool.
+Each point is kept once, in the pool of its group of starts that share p(x1):
+a start's search chords the points it made, its group's search all of them.
+A search whose chord rose is ascended, and a start's search ends in the round
+its group's chord stalls (rises by at most ``_BA_GAP`` bits).
 The envelope at R1 is realised by time sharing folded into U, reduced to the
 support lemma's |U| = |X1| + 3 rows by its Caratheodory step (``_fold``), and
 re-evaluated exactly by ``objective``: the report's rate is ``objective`` of
@@ -455,21 +455,21 @@ def _chord(pool: list, r1: float) -> tuple | None:
 def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveReport:
     """Best feasible rate for the capacity expression.
 
-    Every restart fixes a starting p(u, x1); its pool starts with the lossless
-    and the constant test channel on it, and so does the pool of each group of
-    restarts that share p(x1). Each pool is searched for the multiplier at r1:
-    its chord there (the segment of its upper concave envelope active at r1)
-    is a slope s, and the Lagrangian Blahut-Arimoto iteration at s from both
-    endpoints adds two points to the pool. All pools go through one batched
-    ascent per round, for up to ``_REFINE_ROUNDS`` rounds; a search goes on
-    while its pool grows. A start's search also ends in the round its
-    group's chord stalls (rises by at most ``_BA_GAP`` bits); its points stay
-    in the group's pool, and a group of one start is searched once, through
-    that pool. The best group chord (the one its search climbed, reduced to
-    |U| rows by ``_fold``) or the best feasible point is realised by time
-    sharing folded into U and re-evaluated exactly by ``objective``: the
-    result is a certified lower bound on the capacity, deterministic for a
-    fixed ``(model, cfg)``. U takes the support lemma's |X1| + 3 values and
+    Every restart fixes a starting p(u, x1) and adds the lossless and the
+    constant test channel on it to the pool of its group, the restarts that
+    share p(x1); a pool keeps each point once, with the start whose search
+    made it. A start's search chords its own points and its group's search
+    all of them: the chord at r1 (the segment of the upper concave envelope
+    active at r1) is a slope s, and the Lagrangian Blahut-Arimoto iteration at
+    s from both endpoints adds two points. Every search whose chord rose goes
+    through one batched ascent per round, for up to ``_REFINE_ROUNDS`` rounds;
+    an end that two searches ask for at one slope is ascended once. A start's
+    search ends in the round its group's chord stalls (rises by at most
+    ``_BA_GAP`` bits). The best group chord (the one its search climbed,
+    reduced to |U| rows by ``_fold``) or the best feasible point is realised
+    by time sharing folded into U and re-evaluated exactly by ``objective``:
+    the result is a certified lower bound on the capacity, deterministic for
+    a fixed ``(model, cfg)``. U takes the support lemma's |X1| + 3 values and
     Yhat the |Y_R| values the search can reach; ``cfg``'s fields must be
     integers, not ``bool``, and ``restarts`` at most ``sys.maxsize``.
 
@@ -509,18 +509,16 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     fixed = np.stack([_deterministic_test(m.n_yr, card_u, card_yhat, lossless)
                       for lossless in (True, False)])
 
-    # pools of (joint, q[u, y_r, yhat], R, C): one per start, one per p(x1)
+    # each point (joint, q[u, y_r, yhat], R, C, k) is kept once, in the pool of
+    # its group of starts that share p(x1); k is the start whose search made it
     groups: dict[bytes, list] = {}
-    searches = []  # (pool searched, its group's pool): one pool for a group's search
-    for start in itertools.islice(_starts(m.n_x1, card_u, seed), restarts):
+    searches = []  # [group's pool, start k or None for the group's own, best chord]
+    for k, start in enumerate(itertools.islice(_starts(m.n_x1, card_u, seed), restarts)):
         group = groups.setdefault(start.sum(axis=0).tobytes(), [])
-        pool = list(zip((start, start), fixed,
-                        *_Expression(base, np.stack([start, start])).terms(fixed)[:2]))
-        group += pool
-        searches.append((pool, group))
-    # a group of one start is searched once, through the group's pool
-    searches = [(group if len(group) == 2 else pool, group) for pool, group in searches]
-    searches += [(group, group) for group in groups.values() if len(group) > 2]
+        group += zip((start, start), fixed,
+                     *_Expression(base, np.stack([start, start])).terms(fixed)[:2], (k, k))
+        searches.append([group, k, -math.inf])
+    searches += [[group, None, -math.inf] for group in groups.values()]
 
     def certified(joint: np.ndarray, test: np.ndarray):
         scheme = AuxiliaryScheme(joint, test.transpose(1, 0, 2), card_u, card_yhat)
@@ -548,52 +546,47 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     # each round ascends from both ends of every rising chord at its slope,
     # unless the pick it would return already meets the cut-set bound
     bound = cutset_discrete(m) - _BA_GAP
-    best = {id(pool): -math.inf for pool, _ in searches}
     live = searches
     ascended_rows = stopped = 0
     for rounds in range(1, _REFINE_ROUNDS + 1):
         rising, stalled = [], set()
-        for pool, group in live:
-            chord = _chord(pool, r1)
+        for search in live:
+            group, k, best = search
+            chord = _chord(group if k is None else [pt for pt in group if pt[4] == k], r1)
             if chord is None:
                 continue
             rate, _, a, b = chord
-            if pool is group and rate - best[id(pool)] <= _BA_GAP:
+            if k is None and rate - best <= _BA_GAP:
                 stalled.add(id(group))
             # exact on purpose: a rise threshold of 1e-12 (_BA_GAP) lost up to 1.5e-7 (4.1e-6) bits
-            if rate > best[id(pool)]:
-                best[id(pool)] = rate
+            if rate > best:
+                search[2] = rate
                 # flat up to rounding, as the U = X1 start's chord is: not ascended
                 if b[2] - a[2] > _BA_GAP:
-                    rising.append((pool, group, (a, b), (b[2] - a[2]) / (b[3] - a[3])))
-        found = pick() if r2 + max(best.values()) >= bound else None
+                    rising.append((group, k, (a, b), (b[2] - a[2]) / (b[3] - a[3])))
+        found = pick() if r2 + max(search[2] for search in searches) >= bound else None
         if found is not None and _feasible(found[2], r1) and found[1] >= bound:
             stop = "cutset met"
             break
         if not rising:
             stop = "no chord rising"
             break
-        # a point at the end of two chords of one slope is ascended once and
-        # joins its group's pool once
-        rows = {(id(e), slope): (e, group) for _, group, ends, slope in rising for e in ends}
-        ascended = _ascent(base, np.stack([e[0] for e, _ in rows.values()]),
-                           np.stack([e[1] for e, _ in rows.values()]),
+        # a point at the end of two chords of one slope is ascended once, for
+        # the first search that asked for it
+        rows = {}
+        for group, k, ends, slope in rising:
+            for e in ends:
+                rows.setdefault((id(e), slope), (e, group, k))
+        ascended = _ascent(base, np.stack([e[0] for e, _, _ in rows.values()]),
+                           np.stack([e[1] for e, _, _ in rows.values()]),
                            np.array([slope for _, slope in rows]), max_iters)
         ascended_rows += len(rows)
-        points = dict(zip(rows, zip(*ascended)))
-        for key, (_, group) in rows.items():
-            group.append(points[key])
-        grown = set()
-        for pool, group, ends, slope in rising:
-            if pool is not group:
-                pool += [points[id(e), slope] for e in ends]
-            grown |= {id(pool), id(group)}
-        # a search goes on while its pool grows, a start's search only until
-        # its group's chord stalls
-        going = [(pool, group) for pool, group in live if id(pool) in grown]
-        live = [(pool, group) for pool, group in going
-                if pool is group or id(group) not in stalled]
-        stopped += len(going) - len(live)
+        for (_, group, k), point in zip(rows.values(), zip(*ascended)):
+            group.append(point + (k,))
+        # a start's search ends in the round its group's chord stalls
+        going = [search for search in live if search[1] is None or id(search[0]) not in stalled]
+        stopped += len(live) - len(going)
+        live = going
     else:  # the last round's ascent added points to the pools
         found, stop = None, "round cap"
     _log.debug("solve_capacity: %d rounds, %d ascent rows, %d starts stopped by their "

@@ -323,10 +323,11 @@ class TestGaussianRates:
             assert gaussian_cf(GaussianMrcd(power=0.3, rho=float(rho), r1=r1)).value <= r1
 
     def test_cf_past_float_overflow(self):
-        # 2^{2 r1} overflows at r1 >= 512; the rate is its limit in r1, which
-        # the finite formula already reaches just below the overflow
+        # 2^{2 r1} overflows at r1 >= 512; the rate is its limit in r1, the
+        # cut-set term 0.5 log2((P + 1 - rho^2) / (1 - rho^2)), which the
+        # finite formula already reaches just below the overflow
         for rho in (0.0, 0.5, 0.99):
-            limit = 0.5 * math.log2((0.3 + (1.0 - rho * rho)) / (1.0 - rho * rho))
+            limit = gaussian_cutset(_gauss(rho, r1=600.0)).value
             got = gaussian_cf(_gauss(rho, r1=600.0))
             assert got.value == limit
             assert got.meta["sigma_q_sq"] == 0.0
@@ -405,6 +406,11 @@ class TestGaussianG:
 
 
 class TestSchemeOrdering:
+    # delta = 0 puts CF exactly on the cut-set bound, where the rounding of the
+    # h2 inversion reads the uncapped CF up to 7.5e-12 above it
+    DELTA_0 = (BinaryMrcd(delta=0.0, p_z=0.5, r1=0.97),
+               ParallelBinaryMrcd(delta=0.0, p_z=0.15, r1=1.94))
+
     def test_cutset_dominates_everything(self):
         rng = np.random.default_rng(13)
         for _ in range(500):
@@ -446,9 +452,10 @@ class TestSchemeOrdering:
                 cf = gaussian_cf(m).value
                 pd = gaussian_pdcf(m).value
                 assert pd >= max(df, cf) - 1e-12
-            assert cs >= df - 1e-12
-            assert cs >= cf - 1e-12
-            assert cs >= pd - 1e-12
+            assert cs >= df and cs >= cf and cs >= pd
+        for m in self.DELTA_0:
+            at = {scheme: rate(m).value for scheme, rate in _SINGLE_POINT[type(m)].items()}
+            assert all(at["cutset"] >= at[scheme] for scheme in ("df", "cf", "pdcf"))
 
 
 _SINGLE_POINT = {
@@ -475,7 +482,8 @@ class TestSweep:
         [
             (_bin(0.0), "delta", np.linspace(0.0, 0.5, 101), "cf"),
             (BinaryMrcd(delta=0.05, p_z=0.3, r1=0.25), "p_z", np.linspace(0.0, 1.0, 101), "cf"),
-            (BinaryMrcd(delta=0.0, p_z=0.12, r1=0.25), "delta", np.linspace(0.0, 0.5, 101), "cf"),
+            # p_z = 0.12 < h2^{-1}(1 - r1): DF >= CF on the whole grid (rival None)
+            (BinaryMrcd(delta=0.0, p_z=0.12, r1=0.25), "delta", np.linspace(0.0, 0.5, 101), None),
             (_gauss(0.0), "rho", np.linspace(-1.0, 1.0, 101), "cf"),
             (_gauss(0.6), "r1", np.linspace(0.0, 3.0, 101), "cf"),
             (_par(0.0), "delta", np.linspace(0.0, 0.5, 101), "pdcf"),
@@ -498,8 +506,8 @@ class TestSweep:
             for scheme, pts in curve.points.items():
                 assert pts[i] == evaluators[scheme](at)  # value and meta
         # the grid crosses the switch between decoding and its rival
-        ahead = _values(curve, "df") >= _values(curve, rival)
-        assert ahead.any() and not ahead.all()
+        ahead = _values(curve, "df") >= _values(curve, rival or "cf")
+        assert ahead.all() if rival is None else (ahead.any() and not ahead.all())
 
     @pytest.mark.parametrize(
         "grid, sigma_q_sq",
