@@ -14,6 +14,7 @@ never exceeds in exact arithmetic, so rounding cannot lift it above the bound.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -71,18 +72,6 @@ def _rates(values) -> list[float]:
     return np.maximum(values, 0.0).tolist()
 
 
-def _points(values, metas: list[dict]) -> list[RatePoint]:
-    """A kernel's column as ``RatePoint``s, one per meta dict. The column
-    passes ``RatePoint``'s rule once, so the points skip ``__post_init__``."""
-    points = []
-    for value, meta in zip(_rates(np.broadcast_to(values, len(metas))), metas):
-        pt = object.__new__(RatePoint)
-        fields = pt.__dict__  # item by item: faster than update(**kwargs)
-        fields["value"], fields["meta"] = value, meta
-        points.append(pt)
-    return points
-
-
 def _metas(n: int, key: str | None = None, column=None) -> list[dict]:
     """One meta dict per point: ``{key: value}`` from a column that
     broadcasts to ``n`` points, or empty."""
@@ -105,7 +94,8 @@ def _pdcf(df, cf, cf_metas: list[dict], power_split: bool = False):
 
 def _at(kernel, m, scheme: str) -> RatePoint:
     """``scheme``'s point of ``m``: its family's kernel read at one point."""
-    return _points(*kernel(1, **vars(m))[scheme])[0]
+    value, (meta,) = kernel(1, **vars(m))[scheme]
+    return RatePoint(value, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -358,42 +348,52 @@ def _grid(values, error: type[Exception], name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RateCurve:
-    """Per-scheme rates over a strictly increasing parameter grid."""
+    """Per-scheme rates over a strictly increasing parameter grid: ``columns``
+    maps each scheme to its rates (one number if constant) and one meta dict
+    per grid point. Each rate column passes ``RatePoint``'s rule once."""
 
     param_name: str
     param_values: np.ndarray
-    points: dict[str, list[RatePoint]]
+    columns: dict[str, tuple[list[float], list[dict]]]
 
     def __post_init__(self):
         values = _grid(self.param_values, ValidationError, "RateCurve: param_values")
-        for scheme, pts in self.points.items():
+        n, columns = values.size, {}
+        for scheme, (rates, metas) in self.columns.items():
             if scheme not in SCHEMES:
                 raise ValidationError(f"RateCurve: unknown scheme {scheme!r}")
-            if len(pts) != values.size:
-                raise ValidationError(
-                    f"RateCurve: scheme {scheme!r} has {len(pts)} points for "
-                    f"{values.size} grid values"
-                )
+            # one rate may stand for a column constant along the grid
+            for count in (len(metas), np.size(rates) if np.ndim(rates) else n):
+                if count != n:
+                    raise ValidationError(
+                        f"RateCurve: scheme {scheme!r} has {count} points for {n} grid values")
+            columns[scheme] = (_rates(np.broadcast_to(np.ravel(rates), n)), metas)
         values.flags.writeable = False
         object.__setattr__(self, "param_values", values)
+        object.__setattr__(self, "columns", columns)
+
+    @functools.cached_property
+    def points(self) -> dict[str, list[RatePoint]]:
+        """Each column as ``RatePoint``s, built on the first read."""
+        return {scheme: [RatePoint(v, m) for v, m in zip(rates, metas)]
+                for scheme, (rates, metas) in self.columns.items()}
 
     def to_csv(self, path) -> None:
         """Write one row per grid point, 12 significant digits, '.' decimals."""
-        cols = ["param"] + list(self.points)
-        lines = [",".join(cols)]
-        for i, x in enumerate(self.param_values):
-            row = [f"{x:.12g}"] + [f"{self.points[s][i].value:.12g}" for s in self.points]
-            lines.append(",".join(row))
+        columns = [rates for rates, _ in self.columns.values()]
+        row = ",".join(["{:.12g}"] * (1 + len(columns))).format
+        lines = [",".join(["param", *self.columns])]
+        lines += [row(*cells) for cells in zip(self.param_values.tolist(), *columns)]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
     def to_json(self, path) -> None:
         payload = {
             "param_name": self.param_name,
-            "param_values": [float(x) for x in self.param_values],
+            "param_values": self.param_values.tolist(),
             "points": {
-                scheme: [{"value": pt.value, "meta": pt.meta} for pt in pts]
-                for scheme, pts in self.points.items()
+                scheme: [{"value": v, "meta": m} for v, m in zip(rates, metas)]
+                for scheme, (rates, metas) in self.columns.items()
             },
         }
         _write_json(payload, path)
@@ -423,5 +423,4 @@ def sweep(model, param: str, grid: Sequence[float]) -> RateCurve:
             dataclasses.replace(model, **{param: x})
         raise
     columns = _KERNELS[family](values.size, **{**fields, param: values})
-    points = {scheme: _points(*column) for scheme, column in columns.items()}
-    return RateCurve(param_name=param, param_values=values, points=points)
+    return RateCurve(param_name=param, param_values=values, columns=columns)

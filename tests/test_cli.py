@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import logging
 import os
@@ -179,6 +180,55 @@ class TestFigureCommands:
         main(["fig4", "--out", str(a)])
         main(["fig4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of each curve command's output file, CSV and JSON, taken with
+# numpy 2.4 on an x86-64 host. The first four run on a 41-point grid; the
+# last four are the edge runs of the CI smoke step: nu = 0 (r1 >= 2), the
+# overflow of 2^{2 r1} (sigma_q^2 is null), a power that 1 + P rounds away,
+# and a pipe that carries nothing.
+PINNED_RUNS = {
+    "fig4": ["fig4", "--grid", "0:0.5:41"],
+    "fig6": ["fig6", "--grid", "0:1:41"],
+    "fig7": ["fig7", "--grid", "0:0.5:41"],
+    "sweep": ["sweep", "--model", "{model}", "--param", "r1", "--grid", "0:1.5:41"],
+    "fig4-r1-2.5": ["fig4", "--r1", "2.5"],
+    "fig6-r1-600": ["fig6", "--r1", "600"],
+    "fig6-p-1e-16": ["fig6", "--power", "1e-16"],
+    "fig6-r1-0": ["fig6", "--r1", "0"],
+}
+PINNED_DIGESTS = {
+    ("fig4", "csv"): "fc6fd763df48cca74bfe086d37f4d97b98627c64ef959847a7324f7df391b153",
+    ("fig4", "json"): "8d5b6b524cdc12df6a18d980700235ed221c60e68f079918fd62784910d382c5",
+    ("fig6", "csv"): "3aabf6ab54d217a1e961880c8c0712a4ef49ece450254022eba8c536a9bddb82",
+    ("fig6", "json"): "226a7655417e80a43df7428e26fe9bb2fd0c526d5cdd6fd27f81b82fb5ba6490",
+    ("fig7", "csv"): "27795e2aa86801321f6dc57bd03a8009dd3d9e593a13225e32665731040fa147",
+    ("fig7", "json"): "d8073f56e0bd9ac482542f32c2ed3324a37e586f16be820a1817aebea0504851",
+    ("sweep", "csv"): "f68966c6bc137facf40b4d4c378b5a6c6e6530ed8a5c6c7ed2226daa2511cb73",
+    ("sweep", "json"): "e1edea13ef614d084ae7b3f9b11e9da00ed2980d2539d2f367b96c04959773bd",
+    ("fig4-r1-2.5", "csv"): "208d1435a5a141cc1c724bb071dd072b58e78cce32f28faa4e026c7b72d312e6",
+    ("fig4-r1-2.5", "json"): "380715d13ebe267d3ae45727b14134f50da0c0f0b65d56006c5d3ce689f5b0a8",
+    ("fig6-r1-600", "csv"): "a8ab1b4d5df9b1e5e6ae543c83f2cfdabddb339c65a52c1c3d5466a9fafb0e72",
+    ("fig6-r1-600", "json"): "a470ffc65004fb8b62254aec51dfdb90bf5dfb7b2c7bccff09adead64e1ca4fa",
+    ("fig6-p-1e-16", "csv"): "8cc523bc5299df864513997d0f2127e57ed890e7b815e9910567aede92e30e2b",
+    ("fig6-p-1e-16", "json"): "1e5e40487120a59d63c0c116f685b4747dc0e06f2c61a535d427c9d0d90abde5",
+    ("fig6-r1-0", "csv"): "739a807ac65a4744e632b8816e4cf7f272a684eafbbc7af73f10267af4cfbe5f",
+    ("fig6-r1-0", "json"): "02cdbddf0ec4ef54a89d4e1974ac397c4f3fe17f5e9a857adf90d0ef441a0954",
+}
+
+
+@pytest.mark.parametrize("run, fmt", sorted(PINNED_DIGESTS),
+                         ids=[f"{run}.{fmt}" for run, fmt in sorted(PINNED_DIGESTS)])
+def test_curve_output_bytes_are_pinned(tmp_path, run, fmt):
+    model = _write_model(tmp_path, {"type": "binary", "delta": 0.1, "p_z": 0.12, "r1": 0.25})
+    out = tmp_path / f"{run}.{fmt}"
+    argv = [arg.format(model=model) for arg in PINNED_RUNS[run]]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DIGESTS[run, fmt], (
+        f"`relaycap {' '.join(PINNED_RUNS[run])} --format {fmt}` no longer writes the pinned "
+        "bytes. If the move is intended, add a stated decision to README.md that says which "
+        "cells moved, by how much at most and why, then update this digest."
+    )
 
 
 class TestSweepCommand:

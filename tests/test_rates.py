@@ -652,21 +652,33 @@ class TestRateCurveSerialization:
         got = [pt["value"] for pt in payload["points"]["pdcf"]]
         np.testing.assert_allclose(got, _values(curve, "pdcf"), atol=0)
 
+    def test_points_view_is_built_on_first_read_and_kept(self, tmp_path):
+        curve = self._curve()
+        curve.to_csv(tmp_path / "curve.csv")
+        curve.to_json(tmp_path / "curve.json")
+        # sweeping and writing build no RatePoint
+        assert "points" not in vars(curve)
+        # perfbench reads ref.points[s][i] once per cell: a view rebuilt per
+        # read would cost a whole curve per cell
+        assert curve.points is curve.points
+        rates, metas = curve.columns["cf"]
+        assert curve.points["cf"] == [RatePoint(v, m) for v, m in zip(rates, metas)]
+
     def test_empty_grid(self):
         with pytest.raises(ValidationError, match=r"^RateCurve: param_values must be a nonempty vector$"):
-            RateCurve(param_name="delta", param_values=np.array([]), points={})
+            RateCurve(param_name="delta", param_values=np.array([]), columns={})
 
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError, match=r"^RateCurve: unknown scheme 'dual'$"):
             RateCurve(param_name="delta", param_values=np.array([0.1]),
-                      points={"dual": [RatePoint(0.1)]})
+                      columns={"dual": ([0.1], [{}])})
 
     def test_strictly_increasing_required(self):
         with pytest.raises(ValidationError):
             RateCurve(
                 param_name="delta",
                 param_values=np.array([0.1, 0.1]),
-                points={"df": [RatePoint(0.1), RatePoint(0.2)]},
+                columns={"df": ([0.1, 0.2], [{}, {}])},
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -676,7 +688,7 @@ class TestRateCurveSerialization:
             RateCurve(
                 param_name="delta",
                 param_values=np.array([0.1, bad]),
-                points={"df": [RatePoint(0.1), RatePoint(0.2)]},
+                columns={"df": ([0.1, 0.2], [{}, {}])},
             )
 
     def test_length_mismatch(self):
@@ -684,5 +696,34 @@ class TestRateCurveSerialization:
             RateCurve(
                 param_name="delta",
                 param_values=np.array([0.1, 0.2]),
-                points={"df": [RatePoint(0.1)]},
+                columns={"df": ([0.1], [{}])},
             )
+
+    @pytest.mark.parametrize(
+        "rates, metas, count",
+        [([0.1, 0.2], [{}], 1), ([0.1, 0.2, 0.3], [{}, {}], 3)],
+        ids=["meta-list", "rate-column"],
+    )
+    def test_column_of_the_wrong_length(self, rates, metas, count):
+        with pytest.raises(ValidationError,
+                           match=rf"^RateCurve: scheme 'df' has {count} points for 2 grid values$"):
+            RateCurve(param_name="delta", param_values=np.array([0.1, 0.2]),
+                      columns={"df": (rates, metas)})
+
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (-0.1, "-0.1")],
+                             ids=["nan", "negative"])
+    def test_column_takes_ratepoints_rule(self, bad, shown):
+        with pytest.raises(ValidationError, match=rf"^RatePoint: rate must be >= 0, got {shown}$"):
+            RatePoint(bad)
+        with pytest.raises(ValidationError, match=rf"^RatePoint: rate must be >= 0, got {shown}$"):
+            RateCurve(param_name="delta", param_values=np.array([0.1, 0.2]),
+                      columns={"df": ([0.1, bad], [{}, {}])})
+
+    def test_column_is_clamped_and_a_constant_rate_fills_it(self):
+        curve = RateCurve(param_name="delta", param_values=np.array([0.1, 0.2, 0.3]),
+                          columns={"df": ([-1e-13, -0.0, 0.5], [{}, {}, {}]),
+                                   "cutset": (np.float64(0.5), [{}, {}, {}])})
+        assert curve.columns["df"][0] == [0.0, 0.0, 0.5]
+        assert math.copysign(1.0, curve.columns["df"][0][1]) == 1.0
+        assert curve.columns["cutset"][0] == [0.5, 0.5, 0.5]
+        assert curve.points["df"] == [RatePoint(0.0), RatePoint(0.0), RatePoint(0.5)]
