@@ -8,27 +8,25 @@ The capacity of a discrete model is the supremum of
 over joint pmfs factorising as p(u, x1) p(z) p(y_R | x1, z) p(yhat | y_R, u).
 The objective is not jointly concave. ``solve_capacity`` fixes a starting
 decode layer p(u, x1) per restart (compress-only, decode-only, one per binary
-partition of X1, then seeded random draws) and searches for the multiplier s
-at which the Lagrangian R - s*C decides the rate at R1: the slope of the chord
-of the upper concave envelope of the (C, R) points found so far that is active
-at R1, starting from the lossless and the constant test channel. From both
-endpoints of the chord it maximises the Lagrangian at that slope by
-alternating closed-form updates of the test channel and of p(u | x1) (the
-beta-sweep of the information bottleneck, in Blahut-Arimoto form), adds the
-two points to the pool and takes the new chord, until the chord stops rising.
-Each point is kept once, in the pool of its group of starts that share p(x1):
-a start's search chords the points it made, its group's search all of them.
-A search whose chord rose is ascended, and a start's search ends in the round
-its group's chord stalls (rises by at most ``_BA_GAP`` bits).
-The envelope at R1 is realised by time sharing folded into U, reduced to the
-support lemma's |U| = |X1| + 3 rows by its Caratheodory step (``_fold``), and
-re-evaluated exactly by ``objective``: the report's rate is ``objective`` of
-its scheme, a certified lower bound on the capacity, deterministic for a
-fixed seed. The search also stops once that certified rate meets the cut-set
-bound to within its Blahut-Arimoto certificate ``_BA_GAP``: the bound is then
-the capacity, so the stop forgoes at most ``_BA_GAP`` bits (plus the rounding
-of the feasibility tolerance), and it fires only where the solve reaches the
-cut-set bound.
+partition of X1, then seeded random draws) and searches the chords of the
+upper concave envelope of the (C, R) points found so far at R1:
+
+- one row per point, in one table that also names each point's group (the
+  starts that share p(x1)) and the start whose search made it;
+- a search is a mask of that table: a start's own rows, or its group's;
+- each round maximises the Lagrangian R - s*C at the slope s of every rising
+  chord from both its ends, by alternating closed-form updates of the test
+  channel and of p(u | x1) (the beta-sweep of the information bottleneck, in
+  Blahut-Arimoto form), ascends an end asked for twice at one slope once,
+  and ends a start's search once its group's chord stalls;
+- the search stops when no chord rises, at a round cap, or once its certified
+  rate meets the cut-set bound to within the Blahut-Arimoto certificate
+  ``_BA_GAP`` (the bound is then the capacity);
+- the envelope at R1 is realised by time sharing folded into U, reduced to the
+  support lemma's |U| = |X1| + 3 rows by its Caratheodory step (``_fold``),
+  and re-evaluated exactly by ``objective``: the report's rate is a certified
+  lower bound on the capacity, deterministic for a fixed seed.
+
 ``brute_force_capacity`` is an independent coarse-grid oracle over the
 compress-and-forward schemes (constant U) of tiny models, and
 ``cutset_discrete`` the matching upper bound. Model and config values are
@@ -402,46 +400,47 @@ def _feasible(lhs: float, r1: float) -> bool:
     return lhs <= r1 + SolveConfig.feas_tol
 
 
-def _fold(base: np.ndarray, lam: float, a: tuple[np.ndarray, np.ndarray],
-          b: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Time sharing lam : 1 - lam of two schemes, folded into one decode layer.
+def _fold(base: np.ndarray, lam: float, joint: np.ndarray,
+          q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Time sharing lam : 1 - lam of the schemes (joint[0], q[0]) and (joint[1],
+    q[1]), folded into one decode layer.
 
-    The time-sharing variable becomes part of U: the used rows of ``a`` then
-    those of ``b``, scaled by their weights, each with its own test channel.
-    Where they outnumber |U| = |X1| + 3, the support lemma's Caratheodory step
-    moves the row weights along a null vector of the rows' p(x1 | u),
-    I(X1; Yhat | Z, u), I(Y_R; Yhat | Z, u) and H(Y_R | u) until a row empties,
-    keeping p(x1) (so H(Y_R)), the rate and the constraint value.
+    The time-sharing variable becomes part of U: the used rows of the first
+    scheme then those of the second, scaled by their weights, each with its
+    own test channel. Where they outnumber |U| = |X1| + 3, the support lemma's
+    Caratheodory step moves the row weights along a null vector of the rows'
+    p(x1 | u), I(X1; Yhat | Z, u), I(Y_R; Yhat | Z, u) and H(Y_R | u) until a
+    row empties, keeping p(x1) (so H(Y_R)), the rate and the constraint value.
     """
-    joint, test = np.zeros_like(a[0]), np.zeros_like(a[1])
+    out, test = np.zeros_like(joint[0]), np.zeros_like(q[0])
     test[..., 0] = 1.0  # rows left unused map every y_r to label 0
-    rows, tests = (np.concatenate(t) for t in zip(*(
-        (weight * j[u], q[u]) for weight, (j, q) in ((lam, a), (1.0 - lam, b))
-        for u in [weight * j.sum(axis=1) > 0.0])))
-    if len(rows) > len(joint):
+    weights = np.array([lam, 1.0 - lam])
+    used = weights[:, None] * joint.sum(axis=2) > 0.0
+    rows, tests = (weights[:, None, None] * joint)[used], q[used]
+    if len(rows) > len(out):
         p_u = rows.sum(axis=1)
         cond = rows / p_u[:, None]
         ex = _Expression(base, cond[:, None])
         per_row = np.vstack([cond.T, *ex.terms(tests[:, None])[:2], _neg_xlogx(ex.p_ur, (1, 2))])
-        while len(p_u) > len(joint):
+        while len(p_u) > len(out):
             v = np.linalg.svd(per_row)[2][-1]  # sums to 0, as each p(x1 | u) sums to 1
             step = np.where(v > 0.0, p_u / np.where(v > 0.0, v, 1.0), math.inf)
             keep = np.arange(len(p_u)) != np.argmin(step)
             p_u = np.maximum(p_u - step.min() * v, 0.0)[keep]
             cond, tests, per_row = cond[keep], tests[keep], per_row[:, keep]
         rows = p_u[:, None] * cond
-    joint[:len(rows)], test[:len(rows)] = rows, tests
-    return joint, test
+    out[:len(rows)], test[:len(rows)] = rows, tests
+    return out, test
 
 
-def _chord(pool: list, r1: float) -> tuple | None:
-    """The segment at r1 of the pool's upper concave envelope: (rate, lam, a, b).
+def _chord(rate: np.ndarray, lhs: np.ndarray, rows: np.ndarray, r1: float) -> tuple | None:
+    """The segment at r1 of the upper concave envelope of the table rows
+    ``rows``: (rate, lam, a, b).
 
-    Point a meets the pipe constraint, point b exceeds it and lam : 1 - lam
-    of them meets it with equality. None when no pair qualifies.
+    Row a meets the pipe constraint, row b exceeds it and lam : 1 - lam of
+    them meets it with equality. None when no pair qualifies.
     """
-    rate = np.array([pt[2] for pt in pool])
-    lhs = np.array([pt[3] for pt in pool])
+    rate, lhs = rate[rows], lhs[rows]
     ok = (lhs[:, None] <= r1) & (lhs[None, :] > r1)
     if not ok.any():
         return None
@@ -449,39 +448,42 @@ def _chord(pool: list, r1: float) -> tuple | None:
     lam = np.where(ok, (lhs[None, :] - r1) / span, 0.0)
     mixed = np.where(ok, lam * rate[:, None] + (1.0 - lam) * rate[None, :], -math.inf)
     i, j = np.unravel_index(int(np.argmax(mixed)), mixed.shape)
-    return mixed[i, j], float(lam[i, j]), pool[i], pool[j]
+    return mixed[i, j], float(lam[i, j]), rows[i], rows[j]
 
 
 def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveReport:
     """Best feasible rate for the capacity expression.
 
-    Every restart fixes a starting p(u, x1) and adds the lossless and the
-    constant test channel on it to the pool of its group, the restarts that
-    share p(x1); a pool keeps each point once, with the start whose search
-    made it. A start's search chords its own points and its group's search
-    all of them: the chord at r1 (the segment of the upper concave envelope
-    active at r1) is a slope s, and the Lagrangian Blahut-Arimoto iteration at
-    s from both endpoints adds two points. Every search whose chord rose goes
-    through one batched ascent per round, for up to ``_REFINE_ROUNDS`` rounds;
-    an end that two searches ask for at one slope is ascended once. A start's
-    search ends in the round its group's chord stalls (rises by at most
-    ``_BA_GAP`` bits). The best group chord (the one its search climbed,
-    reduced to |U| rows by ``_fold``) or the best feasible point is realised
-    by time sharing folded into U and re-evaluated exactly by ``objective``:
-    the result is a certified lower bound on the capacity, deterministic for
-    a fixed ``(model, cfg)``. U takes the support lemma's |X1| + 3 values and
-    Yhat the |Y_R| values the search can reach; ``cfg``'s fields must be
-    integers, not ``bool``, and ``restarts`` at most ``sys.maxsize``.
+    - One row per point. The search keeps one table: p(u, x1), the test
+      channel, rate and constraint value of each point, with its group (the
+      starts that share p(x1), in order of appearance) and the start whose
+      search made it (-1: the group's own search). Each start adds its
+      lossless and its constant test channel.
+    - A search is a mask of the table: a start's search chords its own rows,
+      its group's search all the group's. The chord at r1, the segment of
+      the upper concave envelope active there, is a slope s.
+    - A round ascends, in one batch, both ends of every rising chord at its
+      s by the Lagrangian Blahut-Arimoto iteration; ascends a row at the end
+      of two chords of one slope once, for the first search that asked
+      (start searches come first); and ends a start's search when its
+      group's chord stalls (rises by at most ``_BA_GAP`` bits).
+    - The stop: ``no chord rising``, the ``round cap`` of ``_REFINE_ROUNDS``,
+      or ``cutset met``: a round whose best chord reaches
+      ``cutset_discrete(m) - _BA_GAP`` certifies its pick at once and returns
+      it if it is feasible and still meets the bound, forgoing at most
+      ``_BA_GAP`` bits (plus feasibility-tolerance rounding).
+    - The fold: the best group chord (the first group's of equal ones),
+      folded into U in |U| rows by ``_fold``, where it beats the best
+      feasible row (the earliest of equal rates) and its exact re-evaluation
+      by ``objective`` is feasible; else that row, re-evaluated exactly. The
+      rate is a certified lower bound on the capacity, deterministic for a
+      fixed ``(model, cfg)``.
 
-    A round whose best chord reaches ``cutset_discrete(m) - _BA_GAP`` realises
-    and certifies that pick at once, and returns it if it is feasible and
-    still meets the bound: no later round could raise the rate by more than
-    ``_BA_GAP`` bits (plus feasibility-tolerance rounding). The stop fires only
-    where the solve reaches the cut-set bound; below it every round runs as
-    before. One DEBUG record on the ``relaycap.solver`` logger gives the
-    rounds searched, the ascent rows, the start searches stopped by their
-    group's stall and the stop: ``cutset met``, ``no chord rising`` or
-    ``round cap``.
+    U takes the support lemma's |X1| + 3 values and Yhat the |Y_R| values the
+    search can reach; ``cfg``'s fields must be integers, not ``bool``, and
+    ``restarts`` at most ``sys.maxsize``. One DEBUG record on the
+    ``relaycap.solver`` logger gives the rounds searched, the ascent rows,
+    the start searches stopped by their group's stall and the stop.
     """
     cfg = cfg or SolveConfig()
     budget = {}
@@ -509,36 +511,33 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     fixed = np.stack([_deterministic_test(m.n_yr, card_u, card_yhat, lossless)
                       for lossless in (True, False)])
 
-    # each point (joint, q[u, y_r, yhat], R, C, k) is kept once, in the pool of
-    # its group of starts that share p(x1); k is the start whose search made it
-    groups: dict[bytes, list] = {}
-    searches = []  # [group's pool, start k or None for the group's own, best chord]
-    for k, start in enumerate(itertools.islice(_starts(m.n_x1, card_u, seed), restarts)):
-        group = groups.setdefault(start.sum(axis=0).tobytes(), [])
-        group += zip((start, start), fixed,
-                     *_Expression(base, np.stack([start, start])).terms(fixed)[:2], (k, k))
-        searches.append([group, k, -math.inf])
-    searches += [[group, None, -math.inf] for group in groups.values()]
+    # the table: row n holds joint[n] = p(u, x1), q[n, u, y_r, yhat] and their
+    # rate and lhs, its group g[n] of starts that share p(x1) and the start
+    # k[n] whose search made it, -1 for the group's own search
+    starts = list(itertools.islice(_starts(m.n_x1, card_u, seed), restarts))
+    joint, q = np.repeat(starts, 2, axis=0), np.tile(fixed, (restarts, 1, 1, 1))
+    rate, lhs, _ = _Expression(base, joint).terms(q)
+    groups = {}  # p(x1) -> group, numbered in order of appearance
+    start_group = [groups.setdefault(start.sum(axis=0).tobytes(), len(groups)) for start in starts]
+    g, k = np.repeat(start_group, 2), np.repeat(np.arange(restarts), 2)
+    # the best chord of each search (group, start), start searches first
+    best = dict.fromkeys([(group, start) for start, group in enumerate(start_group)]
+                         + [(group, -1) for group in range(len(groups))], -math.inf)
 
     def certified(joint: np.ndarray, test: np.ndarray):
         scheme = AuxiliaryScheme(joint, test.transpose(1, 0, 2), card_u, card_yhat)
         return (scheme,) + objective(m, scheme)
 
     def pick() -> tuple[AuxiliaryScheme, float, float]:
-        """(scheme, rate, constraint value) of the pools' best, by ``objective``.
-
-        The best group chord, the one its search climbed, realised by ``_fold``
-        in |U| rows, where it beats the best feasible point and its exact
-        re-evaluation is feasible; else that point, re-evaluated exactly.
-        """
-        chord = max((c for group in groups.values() if (c := _chord(group, r1)) is not None),
+        """(scheme, rate, constraint value) of the table's best, by ``objective``."""
+        chord = max((c for group in range(len(groups))
+                     if (c := _chord(rate, lhs, np.flatnonzero(g == group), r1)) is not None),
                     key=lambda c: c[0], default=None)
-        single = max((pt for group in groups.values() for pt in group
-                      if _feasible(pt[3], r1)), key=lambda pt: pt[2])
-        found = certified(single[0], single[1])
-        if chord is not None and chord[0] > single[2]:
+        single = int(np.argmax(np.where(_feasible(lhs, r1), rate, -math.inf)))
+        found = certified(joint[single], q[single])
+        if chord is not None and chord[0] > rate[single]:
             _, lam, a, b = chord
-            cand = certified(*_fold(base, lam, a[:2], b[:2]))
+            cand = certified(*_fold(base, lam, joint[[a, b]], q[[a, b]]))
             if _feasible(cand[2], r1) and cand[1] > found[1]:
                 found = cand
         return found
@@ -546,55 +545,50 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     # each round ascends from both ends of every rising chord at its slope,
     # unless the pick it would return already meets the cut-set bound
     bound = cutset_discrete(m) - _BA_GAP
-    live = searches
-    ascended_rows = stopped = 0
+    live = list(best)
     for rounds in range(1, _REFINE_ROUNDS + 1):
-        rising, stalled = [], set()
+        # (row, slope) of each end to ascend: (group, start) of the first
+        # search that asked for it
+        ends, stalled = {}, set()
         for search in live:
-            group, k, best = search
-            chord = _chord(group if k is None else [pt for pt in group if pt[4] == k], r1)
+            group, start = search
+            chord = _chord(rate, lhs, np.flatnonzero(g == group if start < 0 else k == start), r1)
             if chord is None:
                 continue
-            rate, _, a, b = chord
-            if k is None and rate - best <= _BA_GAP:
-                stalled.add(id(group))
+            value, _, a, b = chord
+            if start < 0 and value - best[search] <= _BA_GAP:
+                stalled.add(group)
             # exact on purpose: a rise threshold of 1e-12 (_BA_GAP) lost up to 1.5e-7 (4.1e-6) bits
-            if rate > best:
-                search[2] = rate
+            if value > best[search]:
+                best[search] = value
                 # flat up to rounding, as the U = X1 start's chord is: not ascended
-                if b[2] - a[2] > _BA_GAP:
-                    rising.append((group, k, (a, b), (b[2] - a[2]) / (b[3] - a[3])))
-        found = pick() if r2 + max(search[2] for search in searches) >= bound else None
+                if rate[b] - rate[a] > _BA_GAP:
+                    slope = (rate[b] - rate[a]) / (lhs[b] - lhs[a])
+                    ends.setdefault((a, slope), search)
+                    ends.setdefault((b, slope), search)
+        found = pick() if r2 + max(best.values()) >= bound else None
         if found is not None and _feasible(found[2], r1) and found[1] >= bound:
             stop = "cutset met"
             break
-        if not rising:
+        if not ends:
             stop = "no chord rising"
             break
-        # a point at the end of two chords of one slope is ascended once, for
-        # the first search that asked for it
-        rows = {}
-        for group, k, ends, slope in rising:
-            for e in ends:
-                rows.setdefault((id(e), slope), (e, group, k))
-        ascended = _ascent(base, np.stack([e[0] for e, _, _ in rows.values()]),
-                           np.stack([e[1] for e, _, _ in rows.values()]),
-                           np.array([slope for _, slope in rows]), max_iters)
-        ascended_rows += len(rows)
-        for (_, group, k), point in zip(rows.values(), zip(*ascended)):
-            group.append(point + (k,))
+        rows, slopes = (np.array(column) for column in zip(*ends))
+        made = np.array(list(ends.values()))  # (group, start) of each new row
+        new = _ascent(base, joint[rows], q[rows], slopes, max_iters) + tuple(made.T)
+        joint, q, rate, lhs, g, k = (np.concatenate(pair)
+                                     for pair in zip((joint, q, rate, lhs, g, k), new))
         # a start's search ends in the round its group's chord stalls
-        going = [search for search in live if search[1] is None or id(search[0]) not in stalled]
-        stopped += len(live) - len(going)
-        live = going
-    else:  # the last round's ascent added points to the pools
+        live = [(group, start) for group, start in live if start < 0 or group not in stalled]
+    else:  # the last round's ascent added rows to the table
         found, stop = None, "round cap"
     _log.debug("solve_capacity: %d rounds, %d ascent rows, %d starts stopped by their "
-               "group, stopped: %s", rounds, ascended_rows, stopped, stop)
+               "group, stopped: %s", rounds, len(rate) - 2 * restarts,
+               restarts - sum(start >= 0 for _, start in live), stop)
 
-    scheme, rate, lhs = found or pick()
-    return SolveReport(best_rate=rate, best_scheme=scheme, feasible=_feasible(lhs, r1),
-                       constraint_slack=r1 - lhs, restarts_used=restarts, seed=seed)
+    scheme, best_rate, best_lhs = found or pick()  # pick reads the table as rate and lhs
+    return SolveReport(best_rate=best_rate, best_scheme=scheme, feasible=_feasible(best_lhs, r1),
+                       constraint_slack=r1 - best_lhs, restarts_used=restarts, seed=seed)
 
 
 # ---------------------------------------------------------------------------

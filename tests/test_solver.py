@@ -366,7 +366,7 @@ def _bit_pipe_model(i: int) -> DiscreteOrcd:
 
 
 class TestStartPricing:
-    """Every search point is kept once, in its group's pool; a search is
+    """Every search point is one row of the search table; a search is
     ascended while its chord rises, and a start's search ends in the round its
     group's chord stalls."""
 
@@ -409,24 +409,6 @@ class TestStartPricing:
     def _fig4_d010() -> DiscreteOrcd:
         return embed_parallel_binary(ParallelBinaryMrcd(delta=0.1, p_z=0.15, r1=1.2))
 
-    @staticmethod
-    def _chorded_pools(monkeypatch) -> list:
-        """(pool length, distinct points) of every search chord.
-
-        The final pick chords the group pools once more; only the search loop
-        of ``solve_capacity`` itself is recorded.
-        """
-        seen = []
-        chord = solver._chord
-
-        def recorded(pool, r1):
-            if sys._getframe(1).f_code.co_name == "solve_capacity":
-                seen.append((len(pool), len({id(pt) for pt in pool})))
-            return chord(pool, r1)
-
-        monkeypatch.setattr(solver, "_chord", recorded)
-        return seen
-
     def test_stalled_group_ends_the_search_early(self, monkeypatch):
         calls = TestCutsetStop._count_ascents(monkeypatch)
         rate = solve_capacity(self._fig4_d010(), self.STRUCTURED).best_rate
@@ -444,11 +426,35 @@ class TestStartPricing:
         assert ("7 rounds, 20 ascent rows, 2 starts stopped by their group, stopped: "
                 in record.getMessage())
 
-    def test_no_pool_holds_a_point_twice(self, monkeypatch):
+    @staticmethod
+    def _ascended_rows(calls: list) -> list:
+        """(p(u, x1), q, slope) of every row of every recorded ascent call."""
+        return [[(j.tobytes(), q.tobytes(), float(s)) for j, q, s in zip(joint, test, slopes)]
+                for _, joint, test, slopes, _ in calls]
+
+    def test_no_row_is_ascended_twice_at_one_slope(self, monkeypatch):
         # fair-state delta = 0.1: the start searches share their chord with the group's
-        seen = self._chorded_pools(monkeypatch)
+        calls = TestCutsetStop._count_ascents(monkeypatch)
         solve_capacity(_bin_model(0.1), self.STRUCTURED)
-        assert seen and all(n == distinct for n, distinct in seen)
+        rows = [row for call in self._ascended_rows(calls) for row in call]
+        assert rows and len(set(rows)) == len(rows)
+
+    def test_multi_group_ascent_rows_match_the_debug_record(self, monkeypatch, caplog):
+        # |X1| = 3 at the default budget: 12 groups, five structured starts
+        # sharing the uniform p(x1) and eleven one-start Dirichlet groups. The
+        # row count is not pinned: this solve ends at the round cap, whose
+        # counts can move across numpy builds.
+        m = _bit_pipe_model(26)
+        assert m.n_x1 == 3
+        calls = TestCutsetStop._count_ascents(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="relaycap.solver"):
+            solve_capacity(m, SolveConfig())
+        (record,) = caplog.records
+        rows = self._ascended_rows(calls)
+        assert f", {sum(map(len, rows))} ascent rows, " in record.getMessage()
+        assert all(len(set(call)) == len(call) for call in rows)
+        first = calls[0][1]
+        assert len({joint.sum(axis=0).tobytes() for joint in first}) > 1
 
     @pytest.mark.parametrize("cfg, pinned", [(STRUCTURED, BIT_PIPE_RATES),
                                              (MULTI_START, MULTI_START_RATES)],
@@ -486,20 +492,20 @@ class TestStartPricing:
             rate, lhs, post = terms(self, q)
             return rate + tilt * lhs, lhs, post
 
-        m = self._fig4_d010()
-        decode_only = next(itertools.islice(solver._starts(m.n_x1, m.n_x1 + 3, 0), 1, None))
-        sizes = []
+        # the decode-only start is start 1, so its rows are 2 and 3 of the
+        # table; rows its search made would join them
+        searched = []
         chord = solver._chord
 
-        def recorded(pool, r1):
-            if all(np.array_equal(pt[0], decode_only) for pt in pool):
-                sizes.append(len(pool))
-            return chord(pool, r1)
+        def recorded(rate, lhs, rows, r1):
+            if rows[0] == 2:
+                searched.append(rows.tolist())
+            return chord(rate, lhs, rows, r1)
 
         monkeypatch.setattr(solver._Expression, "terms", tilted)
         monkeypatch.setattr(solver, "_chord", recorded)
-        solve_capacity(m, self.STRUCTURED)
-        assert sizes and set(sizes) == {2}
+        solve_capacity(self._fig4_d010(), self.STRUCTURED)
+        assert searched and all(rows == [2, 3] for rows in searched)
 
 
 class TestReducingFold:
@@ -520,7 +526,7 @@ class TestReducingFold:
         def evaluate(joint, q):
             return objective(m, _scheme(joint, q.transpose(1, 0, 2), card_u, m.n_yr))
 
-        joint, q = solver._fold(solver._base(m), lam, *points)
+        joint, q = solver._fold(solver._base(m), lam, *(np.stack(t) for t in zip(*points)))
         assert joint.shape == (card_u, m.n_x1)
         np.testing.assert_allclose(joint.sum(axis=0), p_x1, rtol=0.0, atol=1e-12)
         (rate_a, lhs_a), (rate_b, lhs_b) = (evaluate(*pt) for pt in points)
