@@ -49,7 +49,7 @@ def _neg_xlogx(t: np.ndarray, axes: tuple[int, ...] | None) -> np.ndarray:
     """-sum of t log2 t over ``axes`` (all for None); 0 log2 0 is 0 exactly."""
     products = _log2(t)
     products *= t
-    return -products.sum(axis=axes)
+    return -np.add.reduce(products, axis=axes)
 
 
 def _conditional(name: str, table, ndim: int) -> np.ndarray:

@@ -147,9 +147,11 @@ class _Expression:
     """The capacity expression of one model for a batch of decode layers.
 
     Built from ``base`` (see ``_base``) and joint[b, u, x1] = p(u, x1); holds
-    p(u, z, x1, y_r) and every term that does not depend on the test channel.
-    ``terms`` evaluates one test channel q[b, u, y_r, yhat] = p(yhat | y_r, u)
-    per decode layer.
+    p(u, z, x1, y_r) and every term that does not depend on the test channel,
+    including the two constants of the q update: ``p_t``, p(u, z, x1, y_r)
+    with its last two axes swapped, and ``p_ur_floor``, p(u, y_r) floored at
+    1e-300. ``terms`` evaluates one test channel q[b, u, y_r, yhat]
+    = p(yhat | y_r, u) per decode layer.
     """
 
     def __init__(self, base: np.ndarray, joint: np.ndarray):
@@ -158,18 +160,20 @@ class _Expression:
         self.base, self.joint = base, joint
         p = joint[:, :, None, :, None] * base  # p(u, z, x1, y_r)
         self.p = p.reshape(n_b, n_u, n_z * n_x, n_r)
-        p_uzr = p.sum(axis=3)
-        p_ur = p_uzr.sum(axis=2)
-        p_u = p_ur.sum(axis=2)
-        p_uz = p_uzr.sum(axis=3)
+        self.p_t = np.swapaxes(self.p, 2, 3)
+        p_uzr = np.add.reduce(p, axis=3)
+        p_ur = np.add.reduce(p_uzr, axis=2)
+        p_u = np.add.reduce(p_ur, axis=2)
+        p_uz = np.add.reduce(p_uzr, axis=3)
         self.p_ur = p_ur
+        self.p_ur_floor = np.maximum(p_ur, 1e-300)[..., None]
         self.log_p_uz = _log2(p_uz)[:, :, :, None, None]
         self.log_p_u = _log2(p_u)[:, :, None]
-        i_u = (_neg_xlogx(p_u, (1,)) + _neg_xlogx(p_ur.sum(axis=1), (1,))
+        i_u = (_neg_xlogx(p_u, (1,)) + _neg_xlogx(np.add.reduce(p_ur, axis=1), (1,))
                - _neg_xlogx(p_ur, (1, 2)))
         self.i_u = np.maximum(i_u, 0.0)  # I(U; Y_R)
         self.h_uz = _neg_xlogx(p_uz, (1, 2))
-        self.h_uzx = _neg_xlogx(p.sum(axis=4), (1, 2, 3))
+        self.h_uzx = _neg_xlogx(np.add.reduce(p, axis=4), (1, 2, 3))
 
     def terms(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         """(rate, lhs, posteriors) of the test channels q.
@@ -181,13 +185,14 @@ class _Expression:
         """
         n_b, n_u, n_z = self.log_p_uz.shape[:3]
         p_uzxh = (self.p @ q).reshape(n_b, n_u, n_z, self.base.shape[1], -1)
-        p_uzh = p_uzxh.sum(axis=3, keepdims=True)
+        p_uzh = np.add.reduce(p_uzxh, axis=3, keepdims=True)
         log_uzxh, log_uzh = _log2(p_uzxh), _log2(p_uzh)
         h_q = _neg_xlogx(q, (3,))
-        h_uzh = -_batch_dot(p_uzh, log_uzh)
-        h_uzxh = -_batch_dot(p_uzxh, log_uzxh)
-        cmi_rate = self.h_uzx + h_uzh - h_uzxh - self.h_uz
-        cmi_lhs = h_uzh - np.sum(self.p_ur * h_q, axis=(1, 2)) - self.h_uz
+        # -H(U, Z, Yhat) and -H(U, Z, X1, Yhat)
+        d_uzh = _batch_dot(p_uzh, log_uzh)
+        d_uzxh = _batch_dot(p_uzxh, log_uzxh)
+        cmi_rate = self.h_uzx - d_uzh + d_uzxh - self.h_uz
+        cmi_lhs = -d_uzh - np.add.reduce(self.p_ur * h_q, axis=(1, 2)) - self.h_uz
         rate = self.i_u + np.maximum(cmi_rate, 0.0)
         lhs = self.i_u + np.maximum(cmi_lhs, 0.0)
         return rate, lhs, (log_uzxh, log_uzh, h_q)
@@ -290,10 +295,11 @@ def _starts(n_x1: int, card_u: int, seed: int) -> Iterator[np.ndarray]:
 
 
 def _v(ex: _Expression, post: tuple, s: np.ndarray) -> np.ndarray:
-    """v[b, u, z, x1, yhat] = (log p(x1 | yhat, u, z) + s log p(yhat | u, z)) / s."""
+    """v[b, u, z, x1, yhat] = (log p(x1 | yhat, u, z) + s log p(yhat | u, z)) / s,
+    with s[b] given as s[b, 0, 0, 0, 0]."""
     log_uzxh, log_uzh, _ = post
     v = log_uzxh - log_uzh
-    v /= s[:, None, None, None, None]
+    v /= s
     v += log_uzh
     v -= ex.log_p_uz
     return v
@@ -310,29 +316,33 @@ def _q_loop(ex: _Expression, q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, 
     Each update maximises the same function over one block, so none lowers
     a row's Lagrangian. A round evaluates only the rows still gaining more
     than _TOL, and a row that stops is written back in place: its result
-    does not depend on which other rows share the batch.
+    does not depend on which other rows share the batch. A round is a fixed
+    sequence of numpy calls on the rows still moving; the multipliers of
+    those rows, and their broadcast for ``_v``, change only when a row stops.
     """
     q = np.array(q)
     rate, lhs, post = ex.terms(q)
     value = rate - s * lhs
     rows, sub, sub_post, sub_value = np.arange(s.size), ex, post, value
+    s_rows, s_v = s, s[:, None, None, None, None]
     for k in range(1, _Q_ROUNDS + 1):
-        s_rows = s[rows]
-        v = _v(sub, sub_post, s_rows)
+        v = _v(sub, sub_post, s_v)
         # a label without mass at (u, z) has no posterior there and must stay
         # empty; with log 0 read as the log floor it would look like a perfect
         # fit and, once |log p(x1 | ...)| / s passes the floor, draw every y_r
         np.copyto(v, -1e300, where=sub_post[1] == _LOG_ZERO)
         # q(yhat | y_r, u) proportional to 2^(a / p(u, y_r)), with a the
         # p(u, z, x1, y_r)-weighted sum of v over (z, x1)
-        a = np.swapaxes(sub.p, 2, 3) @ v.reshape(sub.p.shape[:3] + (-1,))
-        a /= np.maximum(sub.p_ur, 1e-300)[..., None]
-        a -= a.max(axis=3, keepdims=True)
-        sub_q = np.exp2(a)
-        sub_q /= sub_q.sum(axis=3, keepdims=True)
+        a = sub.p_t @ v.reshape(sub.p.shape[:3] + (-1,))
+        a /= sub.p_ur_floor
+        a -= np.maximum.reduce(a, axis=3, keepdims=True)
+        sub_q = np.exp2(a, out=a)
+        sub_q /= np.add.reduce(sub_q, axis=3, keepdims=True)
         r, c, sub_post = sub.terms(sub_q)
         new = r - s_rows * c
-        moving = (new - sub_value > _TOL) & (k < _Q_ROUNDS)
+        moving = new - sub_value > _TOL
+        if k == _Q_ROUNDS:
+            moving[:] = False
         if not moving.all():
             done, at = ~moving, rows[~moving]
             q[at], rate[at], lhs[at], value[at] = sub_q[done], r[done], c[done], new[done]
@@ -342,6 +352,8 @@ def _q_loop(ex: _Expression, q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, 
                 break
             rows, sub = rows[moving], sub.rows(moving)
             sub_post, new = tuple(t[moving] for t in sub_post), new[moving]
+            s_rows = s_rows[moving]
+            s_v = s_rows[:, None, None, None, None]
         sub_value = new
     return q, value, (rate, lhs, post)
 
@@ -357,7 +369,7 @@ def _p_update(ex: _Expression, q: np.ndarray, post: tuple, s: np.ndarray) -> np.
     h_q = post[2]
     n_b, n_u = q.shape[:2]
     n_z, n_x, n_r = ex.base.shape
-    v = _v(ex, post, s).reshape(ex.p.shape[:3] + (-1,))
+    v = _v(ex, post, s[:, None, None, None, None]).reshape(ex.p.shape[:3] + (-1,))
     w = (v @ np.swapaxes(q, 2, 3)).reshape(n_b, n_u, n_z, n_x, n_r)
     s = s[:, None, None]
     log_u_r = _log2(ex.p_ur / np.maximum(ex.p_ur.sum(axis=1, keepdims=True), 1e-300))
@@ -438,17 +450,20 @@ def _chord(rate: np.ndarray, lhs: np.ndarray, rows: np.ndarray, r1: float) -> tu
     ``rows``: (rate, lam, a, b).
 
     Row a meets the pipe constraint, row b exceeds it and lam : 1 - lam of
-    them meets it with equality. None when no pair qualifies.
+    them meets it with equality. Every row with lhs <= r1 is paired with
+    every row with lhs > r1 in one block, both in the order of ``rows``; of
+    equal mixed rates the first in that row-major order wins. None when no
+    pair qualifies.
     """
     rate, lhs = rate[rows], lhs[rows]
-    ok = (lhs[:, None] <= r1) & (lhs[None, :] > r1)
-    if not ok.any():
+    lo, hi = (lhs <= r1).nonzero()[0], (lhs > r1).nonzero()[0]
+    if not (lo.size and hi.size):
         return None
-    span = np.where(ok, lhs[None, :] - lhs[:, None], 1.0)
-    lam = np.where(ok, (lhs[None, :] - r1) / span, 0.0)
-    mixed = np.where(ok, lam * rate[:, None] + (1.0 - lam) * rate[None, :], -math.inf)
-    i, j = np.unravel_index(int(np.argmax(mixed)), mixed.shape)
-    return mixed[i, j], float(lam[i, j]), rows[i], rows[j]
+    l_hi = lhs[hi]
+    lam = (l_hi - r1) / (l_hi - lhs[lo, None])
+    mixed = lam * rate[lo, None] + (1.0 - lam) * rate[hi]
+    i, j = divmod(int(mixed.argmax()), hi.size)
+    return mixed[i, j], float(lam[i, j]), rows[lo[i]], rows[hi[j]]
 
 
 def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveReport:
@@ -545,14 +560,18 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     # each round ascends from both ends of every rising chord at its slope,
     # unless the pick it would return already meets the cut-set bound
     bound = cutset_discrete(m) - _BA_GAP
-    live = list(best)
+    live, grew = list(best), set(best)
     for rounds in range(1, _REFINE_ROUNDS + 1):
         # (row, slope) of each end to ascend: (group, start) of the first
         # search that asked for it
         ends, stalled = {}, set()
         for search in live:
             group, start = search
-            chord = _chord(rate, lhs, np.flatnonzero(g == group if start < 0 else k == start), r1)
+            # a start search that made no rows last round has the same chord,
+            # which cannot rise; a group's unchanged chord is its stall
+            if start >= 0 and search not in grew:
+                continue
+            chord = _chord(rate, lhs, (g == group if start < 0 else k == start).nonzero()[0], r1)
             if chord is None:
                 continue
             value, _, a, b = chord
@@ -580,6 +599,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
                                      for pair in zip((joint, q, rate, lhs, g, k), new))
         # a start's search ends in the round its group's chord stalls
         live = [(group, start) for group, start in live if start < 0 or group not in stalled]
+        grew = set(ends.values())
     else:  # the last round's ascent added rows to the table
         found, stop = None, "round cap"
     _log.debug("solve_capacity: %d rounds, %d ascent rows, %d starts stopped by their "

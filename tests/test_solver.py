@@ -286,8 +286,9 @@ class TestFig4CapacityPoint:
         )
         assert closed - 2e-2 <= rep.best_rate <= cutset_discrete(m) + cfg.feas_tol
         rate, lhs = objective(m, rep.best_scheme)
-        assert rate == pytest.approx(rep.best_rate, abs=1e-12)
-        assert pm.r1 - lhs == pytest.approx(rep.constraint_slack, abs=1e-12)
+        # a report's rate and slack are objective's of its scheme
+        assert rate == rep.best_rate
+        assert pm.r1 - lhs == rep.constraint_slack
 
 
 class TestChordGap:
@@ -508,6 +509,64 @@ class TestStartPricing:
         assert searched and all(rows == [2, 3] for rows in searched)
 
 
+def _masked_chord(rate, lhs, rows, r1):
+    """``solver._chord`` as one masked table over every pair of ``rows``,
+    kept as the oracle of the block form."""
+    rate, lhs = rate[rows], lhs[rows]
+    ok = (lhs[:, None] <= r1) & (lhs[None, :] > r1)
+    if not ok.any():
+        return None
+    span = np.where(ok, lhs[None, :] - lhs[:, None], 1.0)
+    lam = np.where(ok, (lhs[None, :] - r1) / span, 0.0)
+    mixed = np.where(ok, lam * rate[:, None] + (1.0 - lam) * rate[None, :], -np.inf)
+    i, j = np.unravel_index(int(np.argmax(mixed)), mixed.shape)
+    return mixed[i, j], float(lam[i, j]), rows[i], rows[j]
+
+
+class TestChord:
+    """The chord pairs the rows below r1 with those above it in one block:
+    the same rate, weight and ends as the masked table of every pair,
+    first-of-equals included."""
+
+    @staticmethod
+    def _assert_same(rate, lhs, rows, r1):
+        got, want = solver._chord(rate, lhs, rows, r1), _masked_chord(rate, lhs, rows, r1)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and all(g == w for g, w in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_masked_table(self, seed):
+        rng = np.random.default_rng((35, seed))
+        n = int(rng.integers(1, 14))
+        if seed % 2:
+            # a dyadic grid: many exact ties of the mixed rate, rows at r1
+            lhs, rate, r1 = rng.integers(0, 5, n) / 4, rng.integers(0, 9, n) / 8, 0.5
+        else:
+            lhs, rate = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+            r1 = float(lhs[rng.integers(n)]) if seed % 4 == 0 else float(rng.uniform(0.0, 1.0))
+        subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        for rows in (np.arange(n), subset, rng.permutation(n)):
+            self._assert_same(rate, lhs, rows, r1)
+
+    def test_first_of_equal_chords_wins(self):
+        # rows 0 and 1, and rows 2 and 3, are the same point: all four
+        # pairs give one mixed rate, and the first row of each side is kept
+        rate, lhs = np.array([0.5, 0.5, 1.0, 1.0]), np.array([0.25, 0.25, 0.75, 0.75])
+        assert _masked_chord(rate, lhs, np.arange(4), 0.5) == (0.75, 0.5, 0, 2)
+        for rows in (np.arange(4), np.array([1, 3, 0, 2]), np.array([3, 2, 1, 0])):
+            self._assert_same(rate, lhs, rows, 0.5)
+
+    @pytest.mark.parametrize("lhs", [[0.1, 0.5, 0.5], [0.6, 0.7, 0.9], [0.5]],
+                             ids=["all-feasible", "all-infeasible", "one-row-at-r1"])
+    def test_one_sided_rows_have_no_chord(self, lhs):
+        lhs = np.array(lhs)
+        rate = np.linspace(0.2, 0.4, lhs.size)
+        assert solver._chord(rate, lhs, np.arange(lhs.size), 0.5) is None
+        assert _masked_chord(rate, lhs, np.arange(lhs.size), 0.5) is None
+
+
 class TestReducingFold:
     """A fold whose used rows outnumber |U| = |X1| + 3 is reduced to |U| rows
     by the support lemma's Caratheodory step, keeping p(x1), the rate and the
@@ -576,6 +635,24 @@ class TestQLoop:
             np.testing.assert_array_equal(slhs, lhs[idx])
             for part, full in zip(spost, post):
                 np.testing.assert_array_equal(part, full[idx])
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_rows_match_a_fresh_expression(self, model):
+        # every field, the q update's constants included, has the batch as
+        # its leading axis: the rows of an expression are the expression of
+        # the rows, bit for bit
+        m = self.MODELS[model]()
+        card_u = m.n_x1 + 3
+        joint = np.stack(list(itertools.islice(solver._starts(m.n_x1, card_u, 5), 8)))
+        base = solver._base(m)
+        ex = solver._Expression(base, joint)
+        assert {"p_t", "p_ur_floor"} <= vars(ex).keys()
+        for idx in ([0], [5, 2], [1, 3, 4, 7], np.arange(8) % 3 == 0):
+            sub, fresh = vars(ex.rows(idx)), vars(solver._Expression(base, joint[idx]))
+            assert sub.keys() == fresh.keys()
+            for name, value in fresh.items():
+                assert sub[name].shape == value.shape, name
+                assert sub[name].tobytes() == value.tobytes(), name
 
     def test_small_multiplier_never_lowers_the_lagrangian(self):
         # each partition start at fig4 delta = 0.3, fitted at s = 1/28, then
