@@ -41,13 +41,9 @@ __all__ = [
 ]
 
 
-def _validate_channel(name: str, table, n_z: int) -> np.ndarray:
-    arr = _conditional(name, table, 3)
-    if arr.shape[1] != n_z:
-        raise ValidationError(
-            f"{name}: state axis has size {arr.shape[1]}, expected {n_z}"
-        )
-    return arr
+# The link tables of a discrete model, each with the alphabets of its input
+# and output axes; the state axis between them is Z.
+_TABLES = {"chan_sr": ("x1", "yr"), "chan_rd": ("xr", "y1"), "chan_sd": ("x2", "y2")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +51,10 @@ class DiscreteOrcd:
     """Discrete state-dependent orthogonal relay channel.
 
     ``chan_sr`` is p(y_R | x1, z), ``chan_rd`` is p(y1 | x_R, z) and
-    ``chan_sd`` is p(y2 | x2, z), all indexed ``[input, state, output]``.
+    ``chan_sd`` is p(y2 | x2, z), all indexed ``[input, state, output]``
+    with each ``[input, state, :]`` slice a pmf and the state axis as long
+    as ``p_z``; ``_TABLES`` names each table's input and output alphabets.
+    The solver reads the alphabet sizes ``n_x1``, ``n_yr`` and ``n_z``.
     When ``r1_pipe`` is set, the relay-destination link is an ideal bit pipe
     of that rate and ``chan_rd`` is ignored by capacity computations.
 
@@ -76,9 +75,11 @@ class DiscreteOrcd:
         p_z = self.p_z if isinstance(self.p_z, Pmf) else Pmf(self.p_z)
         n_z = len(p_z)
         object.__setattr__(self, "p_z", p_z)
-        object.__setattr__(self, "chan_sr", _validate_channel("chan_sr", self.chan_sr, n_z))
-        object.__setattr__(self, "chan_rd", _validate_channel("chan_rd", self.chan_rd, n_z))
-        object.__setattr__(self, "chan_sd", _validate_channel("chan_sd", self.chan_sd, n_z))
+        for name in _TABLES:
+            arr = _conditional(name, getattr(self, name), 3)
+            if arr.shape[1] != n_z:
+                raise ValidationError(f"{name}: state axis has size {arr.shape[1]}, expected {n_z}")
+            object.__setattr__(self, name, arr)
         if self.r1_pipe is not None:
             object.__setattr__(self, "r1_pipe", _check_rate("r1_pipe", self.r1_pipe))
 
@@ -91,22 +92,6 @@ class DiscreteOrcd:
         return int(self.chan_sr.shape[2])
 
     @property
-    def n_xr(self) -> int:
-        return int(self.chan_rd.shape[0])
-
-    @property
-    def n_y1(self) -> int:
-        return int(self.chan_rd.shape[2])
-
-    @property
-    def n_x2(self) -> int:
-        return int(self.chan_sd.shape[0])
-
-    @property
-    def n_y2(self) -> int:
-        return int(self.chan_sd.shape[2])
-
-    @property
     def n_z(self) -> int:
         return len(self.p_z)
 
@@ -115,7 +100,8 @@ class DiscreteOrcd:
         """Relay-destination link, max I(X_R; Y1 | Z); a bit pipe
         short-circuits it with no evaluation and gap 0."""
         if self.r1_pipe is not None:
-            pxr = np.full(self.n_xr, 1.0 / self.n_xr)
+            n_xr = len(self.chan_rd)
+            pxr = np.full(n_xr, 1.0 / n_xr)
             pxr.flags.writeable = False
             return self.r1_pipe, pxr, 0, 0.0
         return _compound_capacity(self.chan_rd, self.p_z)
@@ -282,16 +268,10 @@ def channel_capacity(w_yx: np.ndarray) -> tuple[float, np.ndarray, int, float]:
         mu *= _BA_GROW
 
 
-def _state_compound_matrix(chan: np.ndarray, p_z: Pmf) -> np.ndarray:
-    """Channel input -> (state, output) matrix p(z, y | x) = p(z) p(y | x, z)."""
-    n_in, n_z, n_out = chan.shape
-    return (chan * p_z.probs[None, :, None]).reshape(n_in, n_z * n_out)
-
-
 def _compound_capacity(chan: np.ndarray, p_z: Pmf) -> tuple[float, np.ndarray, int, float]:
     """``channel_capacity`` of the compound channel input -> (state, output),
-    its input pmf read-only."""
-    c, p, evals, gap = channel_capacity(_state_compound_matrix(chan, p_z))
+    p(z, y | x) = p(z) p(y | x, z), its input pmf read-only."""
+    c, p, evals, gap = channel_capacity((chan * p_z.probs[None, :, None]).reshape(len(chan), -1))
     p.flags.writeable = False
     return c, p, evals, gap
 
@@ -369,6 +349,8 @@ def as_discrete(model) -> DiscreteOrcd:
 # JSON model files
 # ---------------------------------------------------------------------------
 
+# The alphabets of a model file in the order they are checked, which fixes
+# the field an error names first: the letters of ``_TABLES`` and Z.
 _ALPHABET_KEYS = ("x1", "x2", "xr", "yr", "y1", "y2", "z")
 
 
@@ -414,19 +396,15 @@ def _discrete_from_dict(d: dict) -> DiscreteOrcd:
     if len(pz) != sizes["z"]:
         raise ValidationError(f"p_z: length {len(pz)} != alphabets.z {sizes['z']}")
     tables = {}
-    for name, (n_in, n_out) in {
-        "chan_sr": (sizes["x1"], sizes["yr"]),
-        "chan_rd": (sizes["xr"], sizes["y1"]),
-        "chan_sd": (sizes["x2"], sizes["y2"]),
-    }.items():
+    for name, (a_in, a_out) in _TABLES.items():
         raw = _require(d, name)
         try:
             arr = np.asarray(raw, dtype=float)
         except (ValueError, TypeError, OverflowError):
             raise ValidationError(f"{name}: expected a numeric 3-d array") from None
-        if arr.shape != (n_in, sizes["z"], n_out):
+        if arr.shape != (sizes[a_in], sizes["z"], sizes[a_out]):
             raise ValidationError(
-                f"{name}: shape {arr.shape} != ({n_in}, {sizes['z']}, {n_out})"
+                f"{name}: shape {arr.shape} != ({sizes[a_in]}, {sizes['z']}, {sizes[a_out]})"
             )
         tables[name] = arr
     r1_pipe = _number(d, "r1_pipe") if d.get("r1_pipe") is not None else None
@@ -464,14 +442,11 @@ def model_to_dict(model) -> dict:
         raise UsageError(f"unsupported model type {type(model).__name__}")
     if type(model) is not DiscreteOrcd:
         return {"type": kind, **dataclasses.asdict(model)}
-    out = {
-        "type": kind,
-        "alphabets": {key: getattr(model, f"n_{key}") for key in _ALPHABET_KEYS},
-        "p_z": model.p_z.probs.tolist(),
-        "chan_sr": model.chan_sr.tolist(),
-        "chan_rd": model.chan_rd.tolist(),
-        "chan_sd": model.chan_sd.tolist(),
-    }
+    out = {"type": kind, "alphabets": {"z": model.n_z}, "p_z": model.p_z.probs.tolist()}
+    for name, (a_in, a_out) in _TABLES.items():
+        table = getattr(model, name)
+        out["alphabets"][a_in], _, out["alphabets"][a_out] = table.shape
+        out[name] = table.tolist()
     if model.r1_pipe is not None:
         out["r1_pipe"] = model.r1_pipe
     return out

@@ -18,14 +18,16 @@ upper concave envelope of the (C, R) points found so far at R1:
   chord from both its ends, by alternating closed-form updates of the test
   channel and of p(u | x1) (the beta-sweep of the information bottleneck, in
   Blahut-Arimoto form), ascends an end asked for twice at one slope once,
-  and ends a start's search once its group's chord stalls;
-- the search stops when no chord rises, at a round cap, or once its certified
-  rate meets the cut-set bound to within the Blahut-Arimoto certificate
+  and retires a start's search once its group's chord stalls or it makes no
+  rows;
+- the search stops when no chord rises, at a round cap, or once its best
+  chord meets the cut-set bound less the Blahut-Arimoto certificate
   ``_BA_GAP`` (the bound is then the capacity);
-- the envelope at R1 is realised by time sharing folded into U, reduced to the
-  support lemma's |U| = |X1| + 3 rows by its Caratheodory step (``_fold``),
-  and re-evaluated exactly by ``objective``: the report's rate is a certified
-  lower bound on the capacity, deterministic for a fixed seed.
+- after the search, the envelope at R1 is realised once by time sharing
+  folded into U, reduced to the support lemma's |U| = |X1| + 3 rows by its
+  Caratheodory step (``_fold``), and re-evaluated exactly by ``objective``:
+  the report's rate is a certified lower bound on the capacity,
+  deterministic for a fixed seed.
 
 ``brute_force_capacity`` is an independent coarse-grid oracle over the
 compress-and-forward schemes (constant U) of tiny models, and
@@ -239,7 +241,7 @@ def objective(m: DiscreteOrcd, s: AuxiliaryScheme) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 # One DEBUG record per solve_capacity call: rounds searched, ascent rows,
-# start searches stopped by their group's stall and why the search stopped.
+# start searches retired and why the search stopped.
 # Silent unless the application configures logging.
 _log = logging.getLogger(__name__)
 
@@ -480,25 +482,25 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     - A round ascends, in one batch, both ends of every rising chord at its
       s by the Lagrangian Blahut-Arimoto iteration; ascends a row at the end
       of two chords of one slope once, for the first search that asked
-      (start searches come first); and ends a start's search when its
-      group's chord stalls (rises by at most ``_BA_GAP`` bits).
+      (start searches come first); and retires a start's search in the
+      round its group's chord stalls (rises by at most ``_BA_GAP`` bits) or
+      it makes no rows.
     - The stop: ``no chord rising``, the ``round cap`` of ``_REFINE_ROUNDS``,
       or ``cutset met``: a round whose best chord reaches
-      ``cutset_discrete(m) - _BA_GAP`` certifies its pick at once and returns
-      it if it is feasible and still meets the bound, forgoing at most
-      ``_BA_GAP`` bits (plus feasibility-tolerance rounding).
-    - The fold: the best group chord (the first group's of equal ones),
-      folded into U in |U| rows by ``_fold``, where it beats the best
-      feasible row (the earliest of equal rates) and its exact re-evaluation
-      by ``objective`` is feasible; else that row, re-evaluated exactly. The
-      rate is a certified lower bound on the capacity, deterministic for a
-      fixed ``(model, cfg)``.
+      ``cutset_discrete(m) - _BA_GAP``, forgoing at most ``_BA_GAP`` bits
+      plus the rounding of the one certification below.
+    - The fold, once after the search: the best group chord (the first
+      group's of equal ones), folded into U in |U| rows by ``_fold``, where
+      it beats the best feasible row (the earliest of equal rates) and its
+      exact re-evaluation by ``objective`` is feasible; else that row,
+      re-evaluated exactly. The rate is a certified lower bound on the
+      capacity, deterministic for a fixed ``(model, cfg)``.
 
     U takes the support lemma's |X1| + 3 values and Yhat the |Y_R| values the
     search can reach; ``cfg``'s fields must be integers, not ``bool``, and
     ``restarts`` at most ``sys.maxsize``. One DEBUG record on the
     ``relaycap.solver`` logger gives the rounds searched, the ascent rows,
-    the start searches stopped by their group's stall and the stop.
+    the start searches retired and the stop.
     """
     cfg = cfg or SolveConfig()
     budget = {}
@@ -535,46 +537,24 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
     groups = {}  # p(x1) -> group, numbered in order of appearance
     start_group = [groups.setdefault(start.sum(axis=0).tobytes(), len(groups)) for start in starts]
     g, k = np.repeat(start_group, 2), np.repeat(np.arange(restarts), 2)
-    # the best chord of each search (group, start), start searches first
+    # the best chord of each live search (group, start), start searches first
     best = dict.fromkeys([(group, start) for start, group in enumerate(start_group)]
                          + [(group, -1) for group in range(len(groups))], -math.inf)
 
-    def certified(joint: np.ndarray, test: np.ndarray):
-        scheme = AuxiliaryScheme(joint, test.transpose(1, 0, 2), card_u, card_yhat)
-        return (scheme,) + objective(m, scheme)
-
-    def pick() -> tuple[AuxiliaryScheme, float, float]:
-        """(scheme, rate, constraint value) of the table's best, by ``objective``."""
-        chord = max((c for group in range(len(groups))
-                     if (c := _chord(rate, lhs, np.flatnonzero(g == group), r1)) is not None),
-                    key=lambda c: c[0], default=None)
-        single = int(np.argmax(np.where(_feasible(lhs, r1), rate, -math.inf)))
-        found = certified(joint[single], q[single])
-        if chord is not None and chord[0] > rate[single]:
-            _, lam, a, b = chord
-            cand = certified(*_fold(base, lam, joint[[a, b]], q[[a, b]]))
-            if _feasible(cand[2], r1) and cand[1] > found[1]:
-                found = cand
-        return found
-
     # each round ascends from both ends of every rising chord at its slope,
-    # unless the pick it would return already meets the cut-set bound
+    # unless the best chord already meets the cut-set bound
     bound = cutset_discrete(m) - _BA_GAP
-    live, grew = list(best), set(best)
     for rounds in range(1, _REFINE_ROUNDS + 1):
         # (row, slope) of each end to ascend: (group, start) of the first
         # search that asked for it
         ends, stalled = {}, set()
-        for search in live:
+        for search in best:
             group, start = search
-            # a start search that made no rows last round has the same chord,
-            # which cannot rise; a group's unchanged chord is its stall
-            if start >= 0 and search not in grew:
-                continue
             chord = _chord(rate, lhs, (g == group if start < 0 else k == start).nonzero()[0], r1)
             if chord is None:
                 continue
             value, _, a, b = chord
+            # a group's unchanged chord is its stall
             if start < 0 and value - best[search] <= _BA_GAP:
                 stalled.add(group)
             # exact on purpose: a rise threshold of 1e-12 (_BA_GAP) lost up to 1.5e-7 (4.1e-6) bits
@@ -585,8 +565,7 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
                     slope = (rate[b] - rate[a]) / (lhs[b] - lhs[a])
                     ends.setdefault((a, slope), search)
                     ends.setdefault((b, slope), search)
-        found = pick() if r2 + max(best.values()) >= bound else None
-        if found is not None and _feasible(found[2], r1) and found[1] >= bound:
+        if r2 + max(best.values()) >= bound:
             stop = "cutset met"
             break
         if not ends:
@@ -597,16 +576,33 @@ def solve_capacity(m: DiscreteOrcd, cfg: SolveConfig | None = None) -> SolveRepo
         new = _ascent(base, joint[rows], q[rows], slopes, max_iters) + tuple(made.T)
         joint, q, rate, lhs, g, k = (np.concatenate(pair)
                                      for pair in zip((joint, q, rate, lhs, g, k), new))
-        # a start's search ends in the round its group's chord stalls
-        live = [(group, start) for group, start in live if start < 0 or group not in stalled]
-        grew = set(ends.values())
-    else:  # the last round's ascent added rows to the table
-        found, stop = None, "round cap"
-    _log.debug("solve_capacity: %d rounds, %d ascent rows, %d starts stopped by their "
-               "group, stopped: %s", rounds, len(rate) - 2 * restarts,
-               restarts - sum(start >= 0 for _, start in live), stop)
+        # a start's search retires in the round its group's chord stalls, or
+        # when it makes no rows: its chord would stay the same, so not rise
+        asked = set(ends.values())
+        best = {search: value for search, value in best.items()
+                if search[1] < 0 or (search[0] not in stalled and search in asked)}
+    else:
+        stop = "round cap"
+    _log.debug("solve_capacity: %d rounds, %d ascent rows, %d start searches retired, "
+               "stopped: %s", rounds, len(rate) - 2 * restarts,
+               restarts - sum(start >= 0 for _, start in best), stop)
 
-    scheme, best_rate, best_lhs = found or pick()  # pick reads the table as rate and lhs
+    # the pick: the best group chord folded into U, where it beats the best
+    # feasible row and its certified value is feasible; else that row
+    def certified(joint: np.ndarray, test: np.ndarray):
+        scheme = AuxiliaryScheme(joint, test.transpose(1, 0, 2), card_u, card_yhat)
+        return (scheme,) + objective(m, scheme)
+
+    chord = max((c for group in range(len(groups))
+                 if (c := _chord(rate, lhs, np.flatnonzero(g == group), r1)) is not None),
+                key=lambda c: c[0], default=None)
+    single = int(np.argmax(np.where(_feasible(lhs, r1), rate, -math.inf)))
+    scheme, best_rate, best_lhs = certified(joint[single], q[single])
+    if chord is not None and chord[0] > rate[single]:
+        _, lam, a, b = chord
+        folded = certified(*_fold(base, lam, joint[[a, b]], q[[a, b]]))
+        if _feasible(folded[2], r1) and folded[1] > best_rate:
+            scheme, best_rate, best_lhs = folded
     return SolveReport(best_rate=best_rate, best_scheme=scheme, feasible=_feasible(best_lhs, r1),
                        constraint_slack=r1 - best_lhs, restarts_used=restarts, seed=seed)
 

@@ -107,6 +107,14 @@ class TestFigureCommands:
         assert main(["fig4", "--out", str(out), "--grid", "0:0.4:1"]) == 2
         assert "grid" in capsys.readouterr().err
 
+    # two fields, non-numeric ends and a fractional step count
+    @pytest.mark.parametrize("grid", ["0:1", "a:b:3", "0:1:2.5"])
+    def test_malformed_grid_spec(self, tmp_path, capsys, grid):
+        out = tmp_path / "fig7.csv"
+        assert main(["fig7", "--out", str(out), "--grid", grid]) == 2
+        assert capsys.readouterr().err == f"error: --grid expects start:stop:steps, got '{grid}'\n"
+        assert not out.exists()
+
     def test_grid_stop_below_start(self, tmp_path, capsys):
         out = tmp_path / "fig7.csv"
         assert main(["fig7", "--out", str(out), "--grid", "0.5:0.1:5"]) == 2
